@@ -30,7 +30,7 @@ from .localsolve import (
     locally_solvable_everywhere,
 )
 from .ring import DEFAULT_D, QuadInt, parse_quadint
-from .search import find_representation
+from .search import find_representation, verify_witness, witness_jsonable
 
 WORKERS_ENV = "TWOSQUARES_WORKERS"
 
@@ -60,13 +60,6 @@ def _verdict_jsonable(verdict: LocalVerdict) -> dict:
     }
 
 
-def _witness_jsonable(witness) -> dict | None:
-    if witness is None:
-        return None
-    x, y = witness
-    return {"x": {"a": x.a, "b": x.b}, "y": {"a": y.a, "b": y.b}}
-
-
 def decision_jsonable(delta: QuadInt, decision: Decision) -> dict:
     nf = decision.evidence.factorization
     return {
@@ -79,7 +72,7 @@ def decision_jsonable(delta: QuadInt, decision: Decision) -> dict:
         if nf is None
         else {"d1": list(nf.d1), "d2": list(nf.d2), "d3": list(nf.d3)},
         "local_report": [_verdict_jsonable(v) for v in decision.evidence.local_report],
-        "witness": _witness_jsonable(decision.witness),
+        "witness": witness_jsonable(decision.witness),
         "witness_verified": decision.witness_verified,
     }
 
@@ -147,15 +140,12 @@ def _cmd_local(args) -> int:
 def _cmd_search(args) -> int:
     delta = parse_quadint(args.delta, d=args.d)
     report = find_representation(delta, args.bound)
-    verified = report.witness is not None and (
-        report.witness[0] * report.witness[0] + report.witness[1] * report.witness[1] == delta
-    )
     if args.json:
         payload = {
             "delta": _delta_jsonable(delta),
             "bound": report.bound,
-            "witness": _witness_jsonable(report.witness),
-            "witness_verified": verified,
+            "witness": witness_jsonable(report.witness),
+            "witness_verified": verify_witness(delta, report.witness),
             "states_examined": report.states_examined,
         }
         print(canonical_json(payload))
@@ -170,7 +160,11 @@ def _cmd_search(args) -> int:
 def _cmd_hunt(args) -> int:
     workers = args.workers
     if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
+        raw = os.environ.get(WORKERS_ENV, "1")
+        try:
+            workers = int(raw)
+        except ValueError:
+            raise ParameterError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
     result = hunt_mod.hunt_counterexamples(args.box, args.bound, workers=workers)
     text = "".join(canonical_json(line) + "\n" for line in hunt_mod.result_lines(result))
     if args.out is not None:

@@ -12,7 +12,7 @@ from . import numth
 from .errors import ParameterError
 from .localsolve import LocalVerdict, locally_solvable_everywhere
 from .ring import DEFAULT_D, NormFactorization, Place, QuadInt, norm_factorization
-from .search import find_representation, two_square_search
+from .search import find_representation, two_square_search, verify_witness
 
 DEFAULT_WITNESS_BOUND = 50
 
@@ -70,11 +70,6 @@ def parity_exponent(nf: NormFactorization) -> int:
     )
 
 
-def _verify_witness(delta: QuadInt, witness: tuple[QuadInt, QuadInt]) -> bool:
-    x, y = witness
-    return x * x + y * y == delta
-
-
 def decide_qsqrt_m14(delta: QuadInt, witness_bound: int | None = DEFAULT_WITNESS_BOUND) -> Decision:
     """Exact decision for delta = a + b*sqrt(-14) with a != 0: representable
     as x^2 + y^2 over Z[sqrt(-14)] iff it is so at every place and the symbol
@@ -111,10 +106,9 @@ def decide_qsqrt_m14(delta: QuadInt, witness_bound: int | None = DEFAULT_WITNESS
     if not condition_symbol:
         return Decision(DecisionStatus.GLOBAL_OBSTRUCTION, None, False, (), evidence)
     witness = None
-    verified = False
     if witness_bound is not None:
         witness = find_representation(delta, witness_bound).witness
-        verified = witness is not None and _verify_witness(delta, witness)
+    verified = verify_witness(delta, witness)
     return Decision(DecisionStatus.REPRESENTABLE, witness, verified, (), evidence)
 
 
@@ -179,7 +173,7 @@ def decide_generic(delta: QuadInt, search_bound: int = DEFAULT_WITNESS_BOUND) ->
     witness = find_representation(delta, search_bound).witness
     if witness is not None:
         return Decision(
-            DecisionStatus.REPRESENTABLE, witness, _verify_witness(delta, witness), (), evidence
+            DecisionStatus.REPRESENTABLE, witness, verify_witness(delta, witness), (), evidence
         )
     return Decision(DecisionStatus.UNKNOWN, None, False, (), evidence)
 

@@ -1,6 +1,6 @@
 """Counterexample hunter: sweep a coordinate box, run the criterion, the
-local solver, and the bounded oracle against each other, and emit
-JSON-ready records.  Output is deterministic for any worker count."""
+local solver, the residue sieve and the bounded oracle against each other,
+and emit JSON-ready records.  Output is deterministic for any worker count."""
 
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from .criterion import Decision, DecisionStatus, decide_qsqrt_m14
 from .errors import ParameterError
 from .localsolve import LocalVerdict, locally_solvable_everywhere
 from .ring import QuadInt
-from .search import find_representation
+from .search import find_representation, residue_obstruction, verify_witness, witness_jsonable
 
 
 @dataclass(frozen=True)
@@ -35,60 +35,59 @@ class HuntResult:
     summary: dict
 
 
-def _witness_jsonable(witness: tuple[QuadInt, QuadInt] | None) -> dict | None:
-    if witness is None:
-        return None
-    x, y = witness
-    return {"x": {"a": x.a, "b": x.b}, "y": {"a": y.a, "b": y.b}}
-
-
 def _examine(a: int, b: int, bound: int) -> tuple[dict, HunterHit | None]:
     delta = QuadInt(a, b)
-    report = find_representation(delta, bound)
-    witness = report.witness
-    verified = witness is not None and witness[0] * witness[0] + witness[1] * witness[1] == delta
+    # the sieve and the local solver are independent local tests, so a
+    # sieved delta that the local solver accepts is a discrepancy
+    sieved_mod = residue_obstruction(delta)
+    witness, states = None, 0
+    if sieved_mod is None:
+        report = find_representation(delta, bound)
+        witness, states = report.witness, report.states_examined
     record = {
         "a": a,
         "b": b,
-        "witness": _witness_jsonable(witness),
-        "witness_verified": verified,
-        "search_states": report.states_examined,
+        "witness": witness_jsonable(witness),
+        "witness_verified": verify_witness(delta, witness),
+        "search_states": states,
+        "sieved_mod": sieved_mod,
         "hit": False,
-        "discrepancy": False,
     }
+    hit_payload = None
     if a == 0:
-        # outside the criterion's domain: cross-check oracle against the
-        # local solver only
+        # outside the criterion's domain: cross-check the oracles against
+        # the local solver only
         local_ok, verdicts = locally_solvable_everywhere(delta)
+        negative = not local_ok
         record.update(
             {
                 "kind": "a_zero",
                 "status": None,
                 "branch": None,
-                "local_ok": local_ok,
                 "failing_places": [v.place.label() for v in verdicts if not v.solvable],
-                "discrepancy": witness is not None and not local_ok,
             }
         )
-        return record, None
-    decision = decide_qsqrt_m14(delta, witness_bound=None)
-    status = decision.status
-    negative = status in (DecisionStatus.LOCAL_OBSTRUCTION, DecisionStatus.GLOBAL_OBSTRUCTION)
-    hit = status is DecisionStatus.GLOBAL_OBSTRUCTION and witness is None
-    record.update(
-        {
-            "kind": "criterion",
-            "status": status.value,
-            "branch": decision.evidence.branch,
-            "local_ok": decision.evidence.condition_local,
-            "failing_places": [p.label() for p in decision.failing_places],
-            "hit": hit,
-            "discrepancy": witness is not None and negative,
-        }
+    else:
+        decision = decide_qsqrt_m14(delta, witness_bound=None)
+        status = decision.status
+        local_ok = decision.evidence.condition_local
+        negative = status in (DecisionStatus.LOCAL_OBSTRUCTION, DecisionStatus.GLOBAL_OBSTRUCTION)
+        hit = status is DecisionStatus.GLOBAL_OBSTRUCTION and witness is None
+        record.update(
+            {
+                "kind": "criterion",
+                "status": status.value,
+                "branch": decision.evidence.branch,
+                "failing_places": [p.label() for p in decision.failing_places],
+                "hit": hit,
+            }
+        )
+        if hit:
+            hit_payload = HunterHit(delta, decision.evidence.local_report, decision, bound)
+    record["local_ok"] = local_ok
+    record["discrepancy"] = (witness is not None and negative) or (
+        sieved_mod is not None and local_ok
     )
-    hit_payload = None
-    if hit:
-        hit_payload = HunterHit(delta, decision.evidence.local_report, decision, bound)
     return record, hit_payload
 
 

@@ -1,5 +1,9 @@
 """Brute-force ground truth: bounded exhaustive representation search over
-Z[sqrt(d)], and the classical two-square search over Z."""
+Z[sqrt(d)], a residue sieve that refutes deltas before the search, and the
+classical two-square search over Z.
+
+This module imports neither the local solver nor the number-theory kernels,
+so a refutation by the sieve stays an independent witness against them."""
 
 from __future__ import annotations
 
@@ -11,6 +15,10 @@ from .errors import ParameterError
 from .ring import QuadInt
 
 SQUARE_TABLE_CACHE_SIZE = 4
+
+# Tried in order; together they refute every delta in the |a|, |b| <= 25
+# box that the nine moduli 64, 27, 25, 49, 11, 13, 17, 19, 23 refute.
+SIEVE_MODULI = (32, 9, 7)
 
 
 @dataclass(frozen=True)
@@ -31,6 +39,39 @@ def _squares_by_value(d: int, bound: int) -> dict[tuple[int, int], tuple[tuple[i
         for t in range(-bound, bound + 1):
             table.setdefault((ss + d * t * t, 2 * s * t), []).append((s, t))
     return {key: tuple(roots) for key, roots in table.items()}
+
+
+@lru_cache(maxsize=32)
+def _sums_of_two_squares_mod(d: int, m: int) -> frozenset[tuple[int, int]]:
+    # every x^2 + y^2 in Z[sqrt(d)]/m, as coordinate pairs reduced mod m
+    squares = {((s * s + d * t * t) % m, 2 * s * t % m) for s in range(m) for t in range(m)}
+    return frozenset(((a1 + a2) % m, (b1 + b2) % m) for a1, b1 in squares for a2, b2 in squares)
+
+
+def residue_obstruction(delta: QuadInt) -> int | None:
+    """The first modulus m in SIEVE_MODULI at which x^2 + y^2 = delta has no
+    solution in Z[sqrt(d)]/m, or None if every one of them admits one.
+
+    A modulus returned here proves delta is not a sum of two squares."""
+    for m in SIEVE_MODULI:
+        if (delta.a % m, delta.b % m) not in _sums_of_two_squares_mod(delta.d, m):
+            return m
+    return None
+
+
+def verify_witness(delta: QuadInt, witness: tuple[QuadInt, QuadInt] | None) -> bool:
+    """Whether witness is a pair (x, y) with x^2 + y^2 = delta."""
+    if witness is None:
+        return False
+    x, y = witness
+    return x * x + y * y == delta
+
+
+def witness_jsonable(witness: tuple[QuadInt, QuadInt] | None) -> dict | None:
+    if witness is None:
+        return None
+    x, y = witness
+    return {"x": {"a": x.a, "b": x.b}, "y": {"a": y.a, "b": y.b}}
 
 
 def find_representation(delta: QuadInt, bound: int) -> SearchReport:

@@ -103,6 +103,19 @@ def brute_ring_classes(
     return out
 
 
+def sums_of_two_squares_mod(d: int, m: int) -> set[tuple[int, int]]:
+    """Every (u + v*w)^2 + (s + t*w)^2 in Z[sqrt(d)]/m, w^2 = d, as
+    coordinate pairs mod m."""
+    out = set()
+    for u in range(m):
+        for v in range(m):
+            for s in range(m):
+                for t in range(m):
+                    a = u * u + d * v * v + s * s + d * t * t
+                    out.add((a % m, (2 * u * v + 2 * s * t) % m))
+    return out
+
+
 def brute_two_squares(n: int) -> tuple[int, int] | None:
     for x in range(isqrt(n) + 1):
         y2 = n - x * x

@@ -6,6 +6,7 @@ box at search bound 100; its wall time is charged to criterion 5.
 
 import random
 import time
+from collections import Counter
 
 from oracles import brute_legendre, conic_solvable_qp
 from twosquares import numth
@@ -139,8 +140,14 @@ def test_criterion_5_sweep_agreement(acceptance_sweep):
         if r["status"] in ("local_obstruction", "global_obstruction"):
             assert r["witness"] is None, r
     assert result.discrepancies == ()
+    # the residue sieve refutes these deltas before the search scans them
+    sieved = [r for r in result.records if r["sieved_mod"] is not None]
+    assert Counter(r["sieved_mod"] for r in sieved) == {32: 1632, 9: 376, 7: 70}
+    for r in sieved:
+        assert r["search_states"] == 0 and r["local_ok"] is False, r
+        assert r["witness"] is None, r
     assert elapsed < 600.0
-    _report(5, "2550-point sweep, zero discrepancies", elapsed, 600)
+    _report(5, f"2550-point sweep, zero discrepancies, {len(sieved)} deltas sieved", elapsed, 600)
 
 
 def test_criterion_6_obstruction_exhibit(acceptance_sweep):

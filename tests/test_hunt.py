@@ -1,5 +1,6 @@
 """Hasse-principle counterexample hunter."""
 
+from twosquares import hunt
 from twosquares.cli import canonical_json
 from twosquares.criterion import DecisionStatus
 from twosquares.hunt import hunt_counterexamples, result_lines
@@ -74,3 +75,16 @@ def test_worker_counts_agree():
     assert [canonical_json(r) for r in result_lines(serial)] == [
         canonical_json(r) for r in result_lines(parallel)
     ]
+
+
+def test_sieve_against_local_solver_sets_discrepancy(monkeypatch):
+    # force the sieve to refute everything, and the local solver to accept
+    # every a = 0 delta: each record the local side accepts must be flagged
+    monkeypatch.setattr(hunt, "residue_obstruction", lambda delta: 7)
+    monkeypatch.setattr(hunt, "locally_solvable_everywhere", lambda delta: (True, []))
+    res = hunt_counterexamples(2, 10)
+    assert all(r["sieved_mod"] == 7 and r["search_states"] == 0 for r in res.records)
+    flagged = [r for r in res.records if r["local_ok"]]
+    assert {r["kind"] for r in flagged} == {"a_zero", "criterion"}
+    assert list(res.discrepancies) == flagged
+    assert res.summary["discrepancies"] == len(flagged)

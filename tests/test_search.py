@@ -1,13 +1,21 @@
-"""Bounded exhaustive representation search."""
+"""Bounded exhaustive representation search and the residue sieve."""
 
+import ast
+import inspect
 import random
 
 import pytest
 
-from oracles import brute_two_squares, is_representation
+from oracles import brute_two_squares, is_representation, sums_of_two_squares_mod
+from twosquares import search
 from twosquares.errors import ParameterError
 from twosquares.ring import QuadInt
-from twosquares.search import find_representation, two_square_search
+from twosquares.search import (
+    _sums_of_two_squares_mod,
+    find_representation,
+    residue_obstruction,
+    two_square_search,
+)
 
 
 def test_fixed_reports():
@@ -76,6 +84,41 @@ def test_generated_deltas_are_found():
 def test_bound_validation():
     with pytest.raises(ParameterError):
         find_representation(QuadInt(1, 0), 0)
+
+
+def test_sieve_never_refutes_a_sum_of_two_squares():
+    rng = random.Random(404)
+    big = 10**6
+    for d in (-14, -5):
+        for _ in range(500):
+            x, y = (QuadInt(rng.randint(-big, big), rng.randint(-big, big), d) for _ in "xy")
+            assert residue_obstruction(x * x + y * y) is None, (x, y)
+
+
+def test_sieve_tables_match_plain_loops():
+    for d in (-14, -5):
+        for m in range(1, 10):
+            assert _sums_of_two_squares_mod(d, m) == sums_of_two_squares_mod(d, m), (d, m)
+
+
+def test_sieve_is_independent_of_the_local_solver():
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(search))):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {node.module or ""} | {alias.name for alias in node.names}
+    assert not imported & {"localsolve", "numth"}, imported
+
+
+def test_sieved_deltas_have_no_witness():
+    sieved = 0
+    for a in range(-6, 7):
+        for b in range(-6, 7):
+            delta = QuadInt(a, b)
+            if delta.is_zero() or residue_obstruction(delta) is None:
+                continue
+            sieved += 1
+            assert find_representation(delta, 30).witness is None, delta
+    assert sieved > 100
 
 
 def test_two_square_search_vs_brute():
