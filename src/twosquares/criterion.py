@@ -60,7 +60,8 @@ def parity_exponent(nf: NormFactorization) -> int:
     exps = dict(nf.primes)
     for p in nf.d2:
         # norms have even valuation at D2 primes: -14 is a nonresidue there
-        assert exps[p] % 2 == 0, f"odd exponent {exps[p]} at D2 prime {p}"
+        if exps[p] % 2:
+            raise RuntimeError(f"odd exponent {exps[p]} at D2 prime {p}; invariant violated")
     return (
         nf.s1
         + nf.s2
@@ -90,7 +91,9 @@ def decide_qsqrt_m14(delta: QuadInt, witness_bound: int | None = DEFAULT_WITNESS
     else:
         branch = "parity"
         condition_symbol = a1_symbol == (-1) ** eps
-    condition_local, report = locally_solvable_everywhere(delta)
+    # the places of condition 1, from the factorization already in hand
+    places = sorted({2} | ({7} if nf.s2 else set()) | {p for p, _ in nf.primes})
+    condition_local, report = locally_solvable_everywhere(delta, places)
     evidence = Evidence(
         factorization=nf,
         parity_exponent=eps,
@@ -125,7 +128,8 @@ def _prime_two_squares(p: int) -> tuple[int, int]:
         prev, cur = cur, prev % cur
     x = cur
     y = isqrt(p - x * x)
-    assert x * x + y * y == p
+    if x * x + y * y != p:
+        raise RuntimeError(f"{x}^2 + {y}^2 != {p}; invariant violated")
     return x, y
 
 
@@ -154,7 +158,8 @@ def decide_rational(n: int, attach_witness: bool = True) -> Decision:
             for _ in range(e):
                 x, y = _compose_two_squares(x, y, *base)
         x, y = sorted((abs(x), abs(y)), reverse=True)
-        assert x * x + y * y == n
+        if x * x + y * y != n:
+            raise RuntimeError(f"{x}^2 + {y}^2 != {n}; invariant violated")
         witness = (QuadInt(x, 0, DEFAULT_D), QuadInt(y, 0, DEFAULT_D))
         verified = True
     return Decision(DecisionStatus.REPRESENTABLE, witness, verified, (), Evidence())

@@ -51,7 +51,7 @@ class LocalVerdict:
     exhausted_at: int | None = None
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=1024)
 def _lift_sqrt(a: int, p: int, k: int) -> int:
     """The Hensel lift r mod p^k of the smaller square root of a mod p."""
     r = numth.sqrt_mod_prime(a % p, p)
@@ -87,9 +87,11 @@ def _place_valuations(delta: QuadInt, p: int) -> list[int]:
     r = _lift_sqrt(delta.d, p, m)
     vals = []
     for c in ((delta.a + delta.b * r) % modulus, (delta.a - delta.b * r) % modulus):
-        assert c != 0
+        if c == 0:
+            raise RuntimeError(f"component of {delta} vanishes mod {p}^{m}; invariant violated")
         vals.append(numth.valuation(c, p))
-    assert sum(vals) == vn
+    if sum(vals) != vn:
+        raise RuntimeError(f"place valuations {vals} at p={p} miss v(N)={vn}; invariant violated")
     return vals
 
 
@@ -314,7 +316,8 @@ def _component_solve(c: int, v: int, p: int, level: int) -> tuple[int, int] | No
         if numth.legendre(w, p) == 1:
             found = (x0, numth.sqrt_mod_prime(w, p))
             break
-    assert found is not None  # x^2+y^2=c1 mod p has p - (-1/p) > 0 solutions
+    if found is None:  # x^2+y^2=c1 mod p has p - (-1/p) > 0 solutions
+        raise RuntimeError(f"no solution of x^2 + y^2 = {c1} mod {p}; invariant violated")
     x, y = _newton_refine(found[0], found[1], c1, p, m)
     h = p ** (v // 2)
     return h * x % modulus, h * y % modulus
@@ -387,10 +390,18 @@ def _archimedean_verdict(delta: QuadInt) -> LocalVerdict:
     return LocalVerdict(place, ok)
 
 
-def locally_solvable_everywhere(delta: QuadInt) -> tuple[bool, list[LocalVerdict]]:
+def locally_solvable_everywhere(
+    delta: QuadInt, primes: list[int] | None = None
+) -> tuple[bool, list[LocalVerdict]]:
     """Check every place that can obstruct: archimedean, 2, and the primes
-    dividing N(delta)."""
+    dividing N(delta).
+
+    primes, if given, is that sorted prime list from a factorization the
+    caller already holds; by default it is relevant_primes(delta).
+    """
+    if primes is None:
+        primes = relevant_primes(delta)
     verdicts = [_archimedean_verdict(delta)]
-    for p in relevant_primes(delta):
+    for p in primes:
         verdicts.append(locally_solvable(delta, p))
     return all(v.solvable for v in verdicts), verdicts

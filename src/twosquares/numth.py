@@ -3,7 +3,9 @@ modular square roots, and Hilbert symbols over the completions of Q."""
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from fractions import Fraction
+from itertools import compress
 from math import gcd, isqrt
 
 from .errors import FactorizationError, ParameterError
@@ -16,23 +18,29 @@ _TRIAL_BOUND = 1_000_000
 _RHO_BUDGET = 1 << 21
 
 
-def _sieve(limit: int) -> list[int]:
-    flags = bytearray([1]) * limit
-    flags[0:2] = b"\x00\x00"
-    for i in range(2, isqrt(limit - 1) + 1):
+def _odd_primes(limit: int) -> Iterator[int]:
+    # Odd primes p <= limit, from a sieve whose entry i stands for 2*i + 1.
+    # Built per call and sized to the caller's limit, so no 10^6 table
+    # (~0.5 MB) stays in memory between calls.
+    size = (limit + 1) // 2
+    flags = bytearray([1]) * size
+    if size:
+        flags[0] = 0
+    for i in range(1, (isqrt(limit) + 1) // 2):
         if flags[i]:
-            flags[i * i :: i] = bytearray(len(range(i * i, limit, i)))
-    return [i for i in range(limit) if flags[i]]
+            p = 2 * i + 1
+            flags[p * p // 2 :: p] = bytes(len(range(p * p // 2, size, p)))
+    return compress(range(1, 2 * size, 2), flags)
 
 
-_SMALL_PRIMES = _sieve(10_000)
+_SMALL_PRIMES = (2, *_odd_primes(311))  # the first 64 primes
 
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin below ~3.3e24, strong probable-prime above."""
     if n < 2:
         return False
-    for p in _SMALL_PRIMES[:64]:
+    for p in _SMALL_PRIMES:
         if n % p == 0:
             return n == p
     d, r = n - 1, 0
@@ -92,22 +100,23 @@ def _split_composite(n: int) -> int:
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
-    """Prime factorization of n >= 1 as a sorted list of (p, e) pairs."""
+    """Prime factorization of n >= 1 as a sorted list of (p, e) pairs.
+
+    Trial division by the primes up to 10^6, then Brent rho on what is left.
+    """
     if not isinstance(n, int) or n < 1:
         raise ParameterError(f"factorize expects a positive integer, got {n}")
     exps: dict[int, int] = {}
-    for p in _SMALL_PRIMES:
+    twos = (n & -n).bit_length() - 1
+    if twos:
+        exps[2] = twos
+        n >>= twos
+    for p in _odd_primes(min(_TRIAL_BOUND, isqrt(n))):
         if p * p > n:
             break
         while n % p == 0:
             exps[p] = exps.get(p, 0) + 1
             n //= p
-    p = _SMALL_PRIMES[-1] + 2
-    while p <= _TRIAL_BOUND and p * p <= n:
-        while n % p == 0:
-            exps[p] = exps.get(p, 0) + 1
-            n //= p
-        p += 2
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
@@ -190,8 +199,9 @@ def sqrt_mod_prime(a: int, p: int) -> int:
     while q % 2 == 0:
         q //= 2
         s += 1
+    # p is prime (checked above), so Euler's criterion finds the nonresidue
     z = 2
-    while legendre(z, p) != -1:
+    while pow(z, (p - 1) // 2, p) != p - 1:
         z += 1
     m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
     while t != 1:

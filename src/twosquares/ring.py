@@ -15,7 +15,7 @@ from .errors import ParameterError, UnsupportedInputError
 DEFAULT_D = -14
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _validate_ring_parameter(d: int) -> None:
     if d % 4 not in (2, 3):
         raise ParameterError(f"d must be 2 or 3 mod 4, got {d}")

@@ -1,6 +1,9 @@
 """Command-line interface: exit codes, JSON schema, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 
 from twosquares.cli import canonical_json, decision_jsonable, run
 from twosquares.criterion import decide_qsqrt_m14
@@ -155,6 +158,22 @@ def test_json_output_is_deterministic(capsys):
     first = capsys.readouterr().out
     assert run(["decide", "--delta=5,0", "--json"]) == 0
     assert capsys.readouterr().out == first
+
+
+def test_python_dash_m_entry_point():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    proc = subprocess.run(
+        [sys.executable, "-m", "twosquares", "decide", "--delta=-13,2", "--json"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc == decision_jsonable(QuadInt(-13, 2), decide_qsqrt_m14(QuadInt(-13, 2)))
 
 
 def test_decision_jsonable_round_trip():

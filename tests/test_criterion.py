@@ -16,6 +16,7 @@ from twosquares.criterion import (
     verify_classical,
 )
 from twosquares.errors import ParameterError, UnsupportedInputError
+from twosquares.localsolve import locally_solvable_everywhere
 from twosquares.ring import QuadInt, norm_factorization
 from twosquares.search import find_representation
 
@@ -128,6 +129,32 @@ def test_evidence_integrity():
         if dec.status is R and dec.evidence.branch == "parity":
             assert nf.d1 == ()
         assert dec.evidence.condition_local == (dec.status is not L)
+
+
+def test_decide_factors_norm_once(monkeypatch):
+    delta = QuadInt(-13, 2)
+    calls = []
+    factorize = numth.factorize
+
+    def counting(n):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(numth, "factorize", counting)
+    decide_qsqrt_m14(delta)
+    assert calls == [delta.norm()]
+
+
+def test_decide_places_match_relevant_primes():
+    # the place list built from the criterion's factorization must equal
+    # the default one, norms divisible by 7 included
+    for a in range(-10, 11):
+        for b in range(-10, 11):
+            if a == 0:
+                continue
+            delta = QuadInt(a, b)
+            dec = decide_qsqrt_m14(delta, witness_bound=None)
+            assert list(dec.evidence.local_report) == locally_solvable_everywhere(delta)[1], delta
 
 
 def test_criterion_domain():

@@ -59,6 +59,19 @@ def test_factorize_reconstructs_and_certifies():
         assert fac == sorted(fac)
 
 
+def test_factorize_trial_division_edges():
+    # primes on both sides of 10^4, the largest prime square below the
+    # trial bound 10^6, and a factor on each side of that bound
+    for n in (9973 * 10007, 10007**3, 999983**2, 999983 * 1000003, 2**5 * 3):
+        assert numth.factorize(n) == brute_factorize(n), n
+    assert numth.factorize(2**64) == [(2, 64)]
+    # a 10^6-smooth part times a prime above 10^12
+    big = 10**12 + 39
+    assert numth.is_prime(big)
+    expected = [(2, 3), (3, 1), (997, 2), (999979, 1), (big, 1)]
+    assert numth.factorize(2**3 * 3 * 997**2 * 999979 * big) == expected
+
+
 def test_factorize_rejects_nonpositive():
     for n in (0, -1, -6):
         with pytest.raises(ParameterError):
