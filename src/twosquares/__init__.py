@@ -43,7 +43,6 @@ from .ring import (
     Splitting,
     norm_factorization,
     parse_quadint,
-    partition_D,
     split_type,
 )
 from .search import SearchReport, find_representation, two_square_search
@@ -87,7 +86,6 @@ __all__ = [
     "Splitting",
     "norm_factorization",
     "parse_quadint",
-    "partition_D",
     "split_type",
     "SearchReport",
     "find_representation",

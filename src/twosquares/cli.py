@@ -77,6 +77,12 @@ def decision_jsonable(delta: QuadInt, decision: Decision) -> dict:
     }
 
 
+def _print_verdict_text(v: LocalVerdict) -> None:
+    state = "solvable" if v.solvable else "unsolvable"
+    depth = "" if v.exhausted_at is None else f" (depth {v.exhausted_at})"
+    print(f"place {v.place.label()}: {state}{depth}")
+
+
 def _print_decision_text(delta: QuadInt, decision: Decision) -> None:
     print(f"delta: {delta}")
     print(f"status: {decision.status.value}")
@@ -89,9 +95,7 @@ def _print_decision_text(delta: QuadInt, decision: Decision) -> None:
         nf = ev.factorization
         print(f"d_sets: D1={list(nf.d1)} D2={list(nf.d2)} D3={list(nf.d3)}")
     for v in ev.local_report:
-        state = "solvable" if v.solvable else "unsolvable"
-        depth = "" if v.exhausted_at is None else f" (depth {v.exhausted_at})"
-        print(f"place {v.place.label()}: {state}{depth}")
+        _print_verdict_text(v)
     if decision.failing_places:
         print("failing_places: " + " ".join(p.label() for p in decision.failing_places))
     if decision.witness is not None:
@@ -131,9 +135,7 @@ def _cmd_local(args) -> int:
         print(canonical_json(payload))
     else:
         for v in verdicts:
-            state = "solvable" if v.solvable else "unsolvable"
-            depth = "" if v.exhausted_at is None else f" (depth {v.exhausted_at})"
-            print(f"place {v.place.label()}: {state}{depth}")
+            _print_verdict_text(v)
     return 0
 
 

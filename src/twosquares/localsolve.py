@@ -1,6 +1,7 @@
 """Per-place solvability of x^2 + y^2 = delta over the completions of
-Z[sqrt(d)]: modular descent with Hensel certification, made exact by a
-valuation cutoff on the enumeration depth."""
+Z[sqrt(d)]: a closed form at odd places, and at p = 2 modular descent with
+Hensel certification, made exact by a valuation cutoff on the enumeration
+depth.  The descent also serves any prime through solvable_mod."""
 
 from __future__ import annotations
 
@@ -40,9 +41,12 @@ class ModularSolution:
 class LocalVerdict:
     """Outcome of the solvability check at one place.
 
-    For finite places, exhausted_at is the depth the descent actually
-    resolved at: the certificate level when solvable, or the first level
-    with no solution classes when not.  Archimedean verdicts carry neither.
+    For finite places, exhausted_at is the certificate level when solvable,
+    or the first level with no solution classes when not.  The certificate
+    level is the first level the descent certifies at when p = 2; the cutoff
+    depth at an odd split place; 1 at an inert place; and at a ramified
+    place 1 when p = 1 mod 4, k + 1 when p = 3 mod 4 and v_w(delta) = 2k.
+    Archimedean verdicts carry neither.
     """
 
     place: Place
@@ -100,9 +104,11 @@ def cutoff_depth(delta: QuadInt, p: int) -> int:
     equals the verdict at every deeper level."""
     if delta.is_zero():
         raise ParameterError("delta must be nonzero")
-    v = max(_place_valuations(delta, p))
-    v2 = 1 if p == 2 else 0
-    return 2 * (v2 + (v + 1) // 2) + 1
+    return _cutoff(p, _place_valuations(delta, p))
+
+
+def _cutoff(p: int, vals: list[int]) -> int:
+    return 2 * ((1 if p == 2 else 0) + (max(vals) + 1) // 2) + 1
 
 
 def _capped_valuation(n: int, p: int, cap: int) -> int:
@@ -277,90 +283,84 @@ def solvable_mod(
     ]
 
 
-def _newton_refine(x: int, y: int, c: int, p: int, m: int) -> tuple[int, int]:
-    # Lift x^2 + y^2 = c from mod p to mod p^m by Newton steps on the unit
-    # coordinate (p odd, c a unit, so one of x, y is a unit).
-    swapped = x % p == 0
-    if swapped:
-        x, y = y, x
-    cur = 1
-    while cur < m:
-        cur = min(2 * cur, m)
-        modulus = p**cur
-        f = (x * x + y * y - c) % modulus
-        x = (x - f * pow(2 * x, -1, modulus)) % modulus
-    if swapped:
-        x, y = y, x
-    return x, y
+def _unit_two_squares(c: int, p: int, k: int) -> tuple[int, int]:
+    # X^2 + Y^2 = c mod p^k for odd p and a unit c, with Y a unit so the pair
+    # is Hensel-smooth.  Mod p there are p - (-1/p) >= 2 solutions, at most
+    # two of them with Y = 0.
+    for x in range(p):
+        w = (c - x * x) % p
+        if w and pow(w, (p - 1) // 2, p) == 1:
+            return x, _lift_sqrt((c - x * x) % p**k, p, k)
+    raise RuntimeError(f"no unit solution of x^2 + y^2 = {c} mod {p}; invariant violated")
 
 
-def _component_solve(c: int, v: int, p: int, level: int) -> tuple[int, int] | None:
-    # Solvability of X^2 + Y^2 = c in Z/p^level for odd p, where v = v_p(c)
-    # < level; returns a Hensel-smooth solution or None.
-    modulus = p**level
-    if p % 4 == 1:
-        i = _lift_sqrt(-1, p, level)
-        x = (c + 1) * pow(2, -1, modulus) % modulus
-        y = (c - 1) * pow(2 * i % modulus, -1, modulus) % modulus
-        return x, y
-    if v % 2:
-        return None
-    m = level - v
-    c1 = c // p**v % p**m
-    found = None
-    for x0 in range(p):
-        w = (c1 - x0 * x0) % p
-        if w == 0:
-            found = (x0, 0)
-            break
-        if numth.legendre(w, p) == 1:
-            found = (x0, numth.sqrt_mod_prime(w, p))
-            break
-    if found is None:  # x^2+y^2=c1 mod p has p - (-1/p) > 0 solutions
-        raise RuntimeError(f"no solution of x^2 + y^2 = {c1} mod {p}; invariant violated")
-    x, y = _newton_refine(found[0], found[1], c1, p, m)
-    h = p ** (v // 2)
-    return h * x % modulus, h * y % modulus
-
-
-def _split_verdict(delta: QuadInt, p: int, place: Place, depth: int, vals: list[int]) -> LocalVerdict:
-    modulus = p**depth
-    r = _lift_sqrt(delta.d, p, depth)
-    comps = ((delta.a + delta.b * r) % modulus, (delta.a - delta.b * r) % modulus)
-    parts = []
-    for c, v in zip(comps, vals):
-        res = _component_solve(c, v, p, depth)
-        if res is None:
-            # odd valuation at a place where -1 is a nonresidue: the
-            # component, hence the ring equation, is empty mod p^(v+1)
-            return LocalVerdict(place, False, None, v + 1)
-        parts.append(res)
-    (x1, y1), (x2, y2) = parts
-    inv2 = pow(2, -1, modulus)
-    inv2r = pow(2 * r % modulus, -1, modulus)
-    cert = ModularSolution(
-        ((x1 + x2) * inv2 % modulus, (x1 - x2) * inv2r % modulus),
-        ((y1 + y2) * inv2 % modulus, (y1 - y2) * inv2r % modulus),
-        depth,
-        True,
-    )
-    return LocalVerdict(place, True, cert, depth)
+def _odd_verdict(delta: QuadInt, p: int, place: Place, vals: list[int], depth: int) -> LocalVerdict:
+    # Closed form at odd p (O'Meara, Introduction to Quadratic Forms, 63;
+    # Serre, A Course in Arithmetic, III): x^2 + y^2 = delta fails only at a
+    # place with residue field F_p, p = 3 mod 4 and odd valuation.  Anywhere
+    # else -1 is a residue-field square and the form is XY.
+    a, b, d = delta.a, delta.b, delta.d
+    splitting = place.splitting
+    if p % 4 == 3 and splitting is not Splitting.INERT:
+        odd = [v for v in vals if v % 2]
+        if odd:
+            e = 2 if splitting is Splitting.RAMIFIED else 1
+            return LocalVerdict(place, False, None, (min(odd) + 1) // e)
+    if p % 4 == 1 or splitting is Splitting.INERT:
+        # x = (delta + 1)/2, y = (1 - delta)*i/2 with i^2 = -1
+        level = depth if splitting is Splitting.SPLIT else 1
+        m = p**level
+        if p % 4 == 1:
+            i0, i1 = _lift_sqrt(-1, p, level), 0
+        else:  # inert, p = 3 mod 4: -d is a square s^2 and i = sqrt(d)/s
+            i0, i1 = 0, pow(numth.sqrt_mod_prime(-d % p, p), -1, p)
+        h = pow(2, -1, m)
+        x = ((a + 1) * h % m, b * h % m)
+        y = (((1 - a) * i0 - d * b * i1) * h % m, ((1 - a) * i1 - b * i0) * h % m)
+    elif splitting is Splitting.SPLIT:
+        # solve each component p^v * unit (v even), then combine by CRT
+        level = depth
+        m = p**level
+        r = _lift_sqrt(d, p, level)
+        parts = []
+        for c, v in zip(((a + b * r) % m, (a - b * r) % m), vals):
+            s = p ** (v // 2)
+            cx, cy = _unit_two_squares(c // p**v, p, level - v)
+            parts.append((s * cx % m, s * cy % m))
+        (x1, y1), (x2, y2) = parts
+        h, hr = pow(2, -1, m), pow(2 * r, -1, m)
+        x = ((x1 + x2) * h % m, (x1 - x2) * hr % m)
+        y = ((y1 + y2) * h % m, (y1 - y2) * hr % m)
+    else:
+        # ramified, v = 2k: delta = s^2 * t with s = p^(k//2), times sqrt(d)
+        # when k is odd, and t a unit; solve t mod p, then scale by s
+        k = vals[0] // 2
+        level = k + 1
+        m = p**level
+        g = pow(d // p, -1, p) if k % 2 else 1
+        tx, ty = _unit_two_squares(a // p**k * g, p, 1)
+        ty1 = b // p**k * g * pow(2 * ty, -1, p)
+        s = p ** (k // 2)
+        x, y = (s * tx, 0), (s * ty, s * ty1)
+        if k % 2:
+            x, y = (d * x[1], x[0]), (d * y[1], y[0])
+        x, y = (x[0] % m, x[1] % m), (y[0] % m, y[1] % m)
+    return LocalVerdict(place, True, ModularSolution(x, y, level, True), level)
 
 
 def locally_solvable(delta: QuadInt, p: int, depth_limit: int = DEFAULT_DEPTH_LIMIT) -> LocalVerdict:
     """Decide solvability of x^2 + y^2 = delta over both completions of
-    Z[sqrt(d)] above p, by descent to the exact cutoff depth."""
+    Z[sqrt(d)] above p: in closed form at odd p, and at p = 2 by descent to
+    the exact cutoff depth, which must not exceed depth_limit."""
     if delta.is_zero():
         raise ParameterError("delta must be nonzero")
-    splitting = split_type(p, delta.d)
-    place = Place(p, splitting)
+    place = Place(p, split_type(p, delta.d))
     vals = _place_valuations(delta, p)
-    v2 = 1 if p == 2 else 0
-    depth = 2 * (v2 + (max(vals) + 1) // 2) + 1
+    depth = _cutoff(p, vals)
+    if p != 2:
+        return _odd_verdict(delta, p, place, vals, depth)
     if depth > depth_limit:
         raise ResourceLimitError(f"cutoff depth {depth} exceeds limit {depth_limit}")
-    if splitting is Splitting.SPLIT:
-        return _split_verdict(delta, p, place, depth, vals)
     smooth, _, empty_level = _descend(delta, p, depth, stop_on_smooth=True)
     if smooth:
         return LocalVerdict(place, True, smooth[0], smooth[0].level)

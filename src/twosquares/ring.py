@@ -165,11 +165,6 @@ def _partition(primes: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], ..
     return tuple(d1), tuple(d2), tuple(d3)
 
 
-def partition_D(nf: NormFactorization) -> tuple[tuple[int, ...], ...]:
-    """The classes (D1, D2, D3); depends only on the set of odd primes."""
-    return _partition(nf.primes)
-
-
 def norm_factorization(delta: QuadInt) -> NormFactorization:
     """Extract (s1, s2, primes; s3, a1; D1, D2, D3) from delta over Z[sqrt(-14)].
 

@@ -29,6 +29,9 @@ def test_decide_exit_codes(capsys):
     assert run(["decide", "--delta=-13,2"]) == 0
     assert run(["decide", "--d", "-2", "--delta", "3,0"]) == 1
     assert run(["decide", "--d", "-6", "--delta=-1,0"]) == 0  # unknown
+    # odd places past the descent's enumeration cap still get verdicts
+    assert run(["decide", "--delta=1511,0"]) == 1
+    assert run(["decide", "--d=-3022", "--delta=1511,1"]) == 1
     capsys.readouterr()
 
 
@@ -80,6 +83,9 @@ def test_local_json(capsys):
     assert run(["local", "--delta=1,1", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert [v["place"] for v in doc["verdicts"]] == ["oo", "2", "3", "5"]
+    assert run(["local", "--d=-3022", "--delta=1511,0", "--prime", "1511", "--json"]) == 0
+    verdict = json.loads(capsys.readouterr().out)["verdicts"][0]
+    assert verdict["solvable"] is True and verdict["certificate"]["level"] == 2
 
 
 def test_search_json_and_text(capsys):

@@ -157,6 +157,19 @@ def test_decide_places_match_relevant_primes():
             assert list(dec.evidence.local_report) == locally_solvable_everywhere(delta)[1], delta
 
 
+def test_decide_large_odd_places():
+    # 1511 is inert and past the descent's enumeration cap; 3^70 needs a
+    # cutoff depth past the descent's depth limit
+    dec = decide_qsqrt_m14(QuadInt(1511, 0))
+    assert dec.status is G
+    verdict = dec.evidence.local_report[-1]
+    assert verdict.place.prime == 1511 and verdict.solvable and verdict.exhausted_at == 1
+    dec = decide_qsqrt_m14(QuadInt(3**70, 0), witness_bound=None)
+    assert dec.status is R
+    verdict = dec.evidence.local_report[-1]
+    assert verdict.place.prime == 3 and verdict.solvable and verdict.exhausted_at == 71
+
+
 def test_criterion_domain():
     with pytest.raises(ParameterError):
         decide_qsqrt_m14(QuadInt(1, 1, -2))

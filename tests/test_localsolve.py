@@ -8,6 +8,8 @@ from oracles import brute_ring_classes
 from twosquares.errors import ParameterError, ResourceLimitError
 from twosquares.localsolve import (
     ModularSolution,
+    _descend,
+    _is_smooth,
     cutoff_depth,
     locally_solvable,
     locally_solvable_everywhere,
@@ -66,6 +68,7 @@ def test_verdict_fixed_values():
         ((-14, 0), 7): (True, 2),
         ((5, 0), 5): (True, 3),
         ((3, 1), 23): (False, 2),
+        ((-195, -57), 3): (False, 2),
     }
     for ((a, b), p), (solvable, exhausted) in cases.items():
         v = locally_solvable(QuadInt(a, b), p)
@@ -108,24 +111,42 @@ def test_solvable_mod_vs_brute():
                         assert (sol.x, sol.y) in brute
 
 
-def test_split_fast_path_agrees_with_descent():
-    # the split-prime verdict is computed by CRT on the two components; the
-    # uniform 4-coordinate descent must reach the same answer
-    from twosquares.localsolve import _descend
-
-    for a in range(-5, 6):
-        for b in range(-5, 6):
-            delta = QuadInt(a, b)
-            if delta.is_zero():
-                continue
-            for p in (3, 5, 13):
-                if split_type(p, delta.d) is not Splitting.SPLIT:
+def test_odd_place_closed_form_agrees_with_descent():
+    # odd-place verdicts come from a closed form; the uniform 4-coordinate
+    # descent must reach the same verdict at the same first empty level, at
+    # split, inert and ramified places alike
+    for d in (-14, -5, -13, -21, 7):
+        for a in range(-5, 6):
+            for b in range(-5, 6):
+                if a == 0 and b == 0:
                     continue
-                verdict = locally_solvable(delta, p)
-                k = cutoff_depth(delta, p)
-                smooth, open_, empty_level = _descend(delta, p, k, stop_on_smooth=True)
-                descent_solvable = bool(smooth) or (empty_level is None and bool(open_))
-                assert verdict.solvable == descent_solvable, (a, b, p)
+                delta = QuadInt(a, b, d)
+                for p in (3, 5, 7, 11, 13):
+                    verdict = locally_solvable(delta, p)
+                    k = cutoff_depth(delta, p)
+                    smooth, open_, empty_level = _descend(delta, p, k, stop_on_smooth=True)
+                    descent_solvable = bool(smooth) or (empty_level is None and bool(open_))
+                    assert verdict.solvable == descent_solvable, (a, b, d, p)
+                    if not verdict.solvable:
+                        assert verdict.exhausted_at == empty_level, (a, b, d, p)
+                        assert not solvable_mod(delta, p, empty_level)
+                        continue
+                    cert = verdict.certificate
+                    _check_congruences(delta, cert, p)
+                    sol = (*cert.x, *cert.y)
+                    assert _is_smooth(sol, cert.level, p, d, split_type(p, d)), (a, b, d, p)
+
+
+def test_large_odd_ramified_place():
+    # 1511^2 is past the level-1 enumeration cap; the closed form needs none
+    verdict = locally_solvable(QuadInt(1511, 1, -3022), 1511)
+    assert (verdict.solvable, verdict.exhausted_at) == (False, 1)
+    delta = QuadInt(1511, 0, -3022)
+    verdict = locally_solvable(delta, 1511)
+    assert verdict.solvable and verdict.exhausted_at == verdict.certificate.level == 2
+    _check_congruences(delta, verdict.certificate, 1511)
+    sol = (*verdict.certificate.x, *verdict.certificate.y)
+    assert _is_smooth(sol, 2, 1511, -3022, Splitting.RAMIFIED)
 
 
 def test_verdict_stability_and_monotonicity_small_box():

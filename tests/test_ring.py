@@ -14,7 +14,6 @@ from twosquares.ring import (
     Splitting,
     norm_factorization,
     parse_quadint,
-    partition_D,
     split_type,
 )
 
@@ -158,7 +157,6 @@ def test_norm_factorization_reconstructs():
             n *= p**e
         assert n == abs(delta.norm())
         assert 7 ** nf.s3 * nf.a1 == a and nf.a1 % 7 != 0
-        assert partition_D(nf) == (nf.d1, nf.d2, nf.d3)
 
 
 def test_partition_matches_symbol_definitions():
