@@ -10,9 +10,11 @@ from math import gcd, isqrt
 
 from .errors import FactorizationError, ParameterError
 
-# Strong-pseudoprime witnesses making Miller-Rabin deterministic for
-# n < 3_317_044_064_679_887_385_961_981 (Sorenson-Webster bound).
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# The first 13 primes as strong-pseudoprime witnesses make Miller-Rabin
+# deterministic for n < _MR_BOUND (psi_13, Sorenson-Webster); without 41
+# the bound is psi_12 = 318665857834031151167461, itself composite.
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 _TRIAL_BOUND = 1_000_000
 _RHO_BUDGET = 1 << 21
@@ -36,8 +38,43 @@ def _odd_primes(limit: int) -> Iterator[int]:
 _SMALL_PRIMES = (2, *_odd_primes(311))  # the first 64 primes
 
 
+def _strong_lucas_probable_prime(n: int) -> bool:
+    # Strong Lucas test with Selfridge's parameters, for odd n > 1 (the
+    # Lucas half of Baillie-PSW; Baillie & Wagstaff, Math. Comp. 35, 1980)
+    r = isqrt(n)
+    if r * r == n:
+        return False  # no D with (D/n) = -1 exists for a square
+    D = 5
+    while (j := jacobi(D, n)) != -1:
+        if j == 0:
+            return n == abs(D)
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    k, s = n + 1, 0
+    while k % 2 == 0:
+        k //= 2
+        s += 1
+    # U_m, V_m, Q^m mod n, from m = 0 up the bits of k (P = 1)
+    U, V, Qm = 0, 2, 1
+    for bit in bin(k)[2:]:
+        U, V, Qm = U * V % n, (V * V - 2 * Qm) % n, Qm * Qm % n
+        if bit == "1":
+            U, V = U + V, D * U + V
+            U, V = (U + n * (U & 1)) // 2 % n, (V + n * (V & 1)) // 2 % n
+            Qm = Qm * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qm = (V * V - 2 * Qm) % n, Qm * Qm % n
+        if V == 0:
+            return True
+    return False
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin below ~3.3e24, strong probable-prime above."""
+    """Primality of n: Miller-Rabin over the first 13 prime bases, which is
+    deterministic below ~3.3e24 (psi_13); above it Baillie-PSW, i.e. those
+    rounds plus a strong Lucas test, with no known counterexample."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -57,7 +94,7 @@ def is_prime(n: int) -> bool:
                 break
         else:
             return False
-    return True
+    return n < _MR_BOUND or _strong_lucas_probable_prime(n)
 
 
 def _brent_rho(n: int, c: int, budget: int) -> int | None:
@@ -102,7 +139,9 @@ def _split_composite(n: int) -> int:
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 as a sorted list of (p, e) pairs.
 
-    Trial division by the primes up to 10^6, then Brent rho on what is left.
+    After the 2s, trial division by the odd primes up to 10^6, which stops
+    at the first cofactor that is 1 or passes `is_prime`; Brent rho splits
+    a composite cofactor left at the trial bound.
     """
     if not isinstance(n, int) or n < 1:
         raise ParameterError(f"factorize expects a positive integer, got {n}")
@@ -111,13 +150,25 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if twos:
         exps[2] = twos
         n >>= twos
-    for p in _odd_primes(min(_TRIAL_BOUND, isqrt(n))):
-        if p * p > n:
-            break
-        while n % p == 0:
-            exps[p] = exps.get(p, 0) + 1
-            n //= p
-    stack = [n] if n > 1 else []
+    composite = n > 1 and not is_prime(n)
+    if composite:
+        for p in _odd_primes(min(_TRIAL_BOUND, isqrt(n))):
+            if p * p > n:
+                composite = False
+                break
+            if n % p:
+                continue
+            while n % p == 0:
+                exps[p] = exps.get(p, 0) + 1
+                n //= p
+            composite = n > 1 and not is_prime(n)
+            if not composite:
+                break
+    if not composite:
+        if n > 1:
+            exps[n] = 1  # a prime larger than every p divided out
+        return sorted(exps.items())
+    stack = [n]
     while stack:
         m = stack.pop()
         if m == 1:

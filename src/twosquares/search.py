@@ -79,8 +79,13 @@ def find_representation(delta: QuadInt, bound: int) -> SearchReport:
     within [-bound, bound].
 
     Returns the lexicographically smallest witness by (x.a, x.b, y.a, y.b).
-    An odd b coordinate is rejected outright: the sqrt(d) coordinate of
-    x^2 + y^2 is 2(uv + st), always even.
+    With (u, v, s, t) a witness so is (-u, -v, s, t), so that witness has
+    x.a <= 0 and only u <= 0 is scanned; `states_examined` counts the
+    (x.a, x.b) pairs tried up to the hit, and a miss reports the whole
+    box, (2*bound + 1)^2.  An odd b coordinate is rejected outright (0
+    states): the sqrt(d) coordinate of x^2 + y^2 is 2(uv + st), always
+    even.  For d < 0 a norm above (2(1 - d)*bound^2)^2 is a miss without a
+    scan: every coordinate-bounded x has |x|^2 = u^2 - d*v^2 <= (1 - d)*bound^2.
     """
     if bound < 1:
         raise ParameterError(f"bound must be >= 1, got {bound}")
@@ -90,10 +95,13 @@ def find_representation(delta: QuadInt, bound: int) -> SearchReport:
         return SearchReport(delta, bound, (zero, zero), 0)
     if delta.b % 2:
         return SearchReport(delta, bound, None, 0)
+    box = (2 * bound + 1) ** 2
+    if d < 0 and delta.norm() > (2 * (1 - d) * bound * bound) ** 2:
+        return SearchReport(delta, bound, None, box)
     table = _squares_by_value(d, bound)
     a, b = delta.a, delta.b
     states = 0
-    for u in range(-bound, bound + 1):
+    for u in range(-bound, 1):
         uu = u * u
         for v in range(-bound, bound + 1):
             states += 1
@@ -102,7 +110,7 @@ def find_representation(delta: QuadInt, bound: int) -> SearchReport:
                 s, t = roots[0]
                 witness = (QuadInt(u, v, d), QuadInt(s, t, d))
                 return SearchReport(delta, bound, witness, states)
-    return SearchReport(delta, bound, None, states)
+    return SearchReport(delta, bound, None, box)
 
 
 def two_square_search(n: int) -> tuple[int, int] | None:

@@ -129,3 +129,21 @@ def is_representation(delta: QuadInt, x: QuadInt, y: QuadInt) -> bool:
     ra = x.a * x.a + x.d * x.b * x.b + y.a * y.a + y.d * y.b * y.b
     rb = 2 * (x.a * x.b + y.a * y.b)
     return ra == delta.a and rb == delta.b and x.d == y.d == delta.d
+
+
+def full_box_scan(delta: QuadInt, bound: int) -> tuple[tuple[QuadInt, QuadInt] | None, int]:
+    """The first (x, y) with x^2 + y^2 = delta and every coordinate in
+    [-bound, bound], in (x.a, x.b, y.a, y.b) order, and how many x were
+    tried up to it (every x of the box on a miss)."""
+    a, b, d = delta.a, delta.b, delta.d
+    box = range(-bound, bound + 1)
+    tried = 0
+    for u in box:
+        for v in box:
+            tried += 1
+            ra, rb = a - u * u - d * v * v, b - 2 * u * v
+            for s in box:
+                for t in box:
+                    if s * s + d * t * t == ra and 2 * s * t == rb:
+                        return (QuadInt(u, v, d), QuadInt(s, t, d)), tried
+    return None, tried

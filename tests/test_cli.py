@@ -35,6 +35,15 @@ def test_decide_exit_codes(capsys):
     capsys.readouterr()
 
 
+def test_decide_pseudoprime_norm_exits_cleanly(capsys):
+    # N(delta) = 3 * 318665857834031151167461, a strong pseudoprime to the
+    # prime bases 2..37 and the product of two primes that both split
+    assert run(["decide", "--delta=-273946145183,-250848714089", "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "local_obstruction"
+    assert doc["d_sets"]["d3"] == [399165290221, 798330580441]
+
+
 def test_usage_errors_exit_2(capsys):
     assert run(["decide", "--delta=0,0"]) == 2
     assert run(["decide", "--delta=nonsense"]) == 2

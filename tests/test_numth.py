@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -70,6 +71,70 @@ def test_factorize_trial_division_edges():
     assert numth.is_prime(big)
     expected = [(2, 3), (3, 1), (997, 2), (999979, 1), (big, 1)]
     assert numth.factorize(2**3 * 3 * 997**2 * 999979 * big) == expected
+
+
+# psi_12 and psi_13: the least strong pseudoprimes to the first 12 and the
+# first 13 prime bases (Sorenson & Webster)
+PSI_12 = 318665857834031151167461
+PSI_13 = 3317044064679887385961981
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    assert not numth.is_prime(PSI_12)
+    assert numth.factorize(PSI_12) == [(399165290221, 1), (798330580441, 1)]
+    assert not numth.is_prime(PSI_13)  # passes Miller-Rabin to bases 2..41
+    assert numth.is_prime(2**89 - 1) and numth.is_prime(2**127 - 1)
+    assert not numth.is_prime((2**89 - 1) * (2**61 - 1))
+
+
+def test_strong_lucas_pseudoprimes_below_2e5():
+    limit = 200_000
+    composite = bytearray(limit)
+    for p in range(2, isqrt(limit) + 1):
+        for m in range(p * p, limit, p):
+            composite[m] = 1
+    flagged = [
+        n
+        for n in range(3, limit, 2)
+        if isqrt(n) ** 2 != n and numth._strong_lucas_probable_prime(n) and composite[n]
+    ]
+    # OEIS A217255, the strong Lucas pseudoprimes (Selfridge parameters)
+    assert flagged == [
+        5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519,
+        75077, 97439, 100127, 113573, 115639, 130139, 155819, 158399, 161027,
+        162133, 176399, 176471, 189419, 192509, 197801,
+    ]
+    assert all(numth._strong_lucas_probable_prime(n) for n in range(3, limit, 2) if not composite[n])
+
+
+def test_factorize_stops_at_prime_cofactor(monkeypatch):
+    drawn = []
+    odd_primes = numth._odd_primes
+
+    def counting(limit):
+        for p in odd_primes(limit):
+            drawn.append(p)
+            yield p
+
+    monkeypatch.setattr(numth, "_odd_primes", counting)
+    big = 10**12 + 39
+    assert numth.factorize(3 * 5 * big) == [(3, 1), (5, 1), (big, 1)]
+    assert len(drawn) <= 5, drawn
+    drawn.clear()
+    assert numth.factorize(2**7 * big) == [(2, 7), (big, 1)]
+    assert drawn == []
+
+
+def test_factorize_vs_oracle_seeded():
+    rng = random.Random(108)
+    cases = [rng.randrange(2, 10**10) for _ in range(200)]
+    for _ in range(60):
+        smooth = 1
+        for _ in range(rng.randrange(1, 5)):
+            smooth *= rng.choice((2, 3, 5, 7, 11, 997, 9973))
+        cases.append(smooth * rng.choice((10007, 999983, 1000003, 99999989)))
+    for n in cases:
+        assert numth.factorize(n) == brute_factorize(n), n
 
 
 def test_factorize_rejects_nonpositive():

@@ -2,11 +2,12 @@
 
 import ast
 import inspect
+import itertools
 import random
 
 import pytest
 
-from oracles import brute_two_squares, is_representation, sums_of_two_squares_mod
+from oracles import brute_two_squares, full_box_scan, is_representation, sums_of_two_squares_mod
 from twosquares import search
 from twosquares.errors import ParameterError
 from twosquares.ring import QuadInt
@@ -79,6 +80,39 @@ def test_generated_deltas_are_found():
         r = find_representation(delta, 8)
         assert r.witness is not None
         assert is_representation(delta, *r.witness)
+
+
+def test_search_matches_full_box_scan():
+    for d in (-14, -5, 3):
+        for a in range(-8, 9):
+            for b in range(-8, 9):
+                delta = QuadInt(a, b, d)
+                if delta.is_zero():
+                    continue
+                r = find_representation(delta, 6)
+                witness, tried = full_box_scan(delta, 6)
+                assert r.witness == witness, delta
+                if b % 2 == 0:  # odd b is refuted before any state
+                    assert r.states_examined == tried, delta
+
+
+def test_norm_bound_misses_without_a_scan(monkeypatch):
+    d, bound = -14, 3
+    limit = (2 * (1 - d) * bound * bound) ** 2
+    box = range(-bound, bound + 1)
+    for u, v, s, t in itertools.product(box, repeat=4):
+        x, y = QuadInt(u, v, d), QuadInt(s, t, d)
+        assert (x * x + y * y).norm() <= limit
+    built = []
+    squares = search._squares_by_value
+    monkeypatch.setattr(search, "_squares_by_value", lambda *key: built.append(key) or squares(*key))
+    at_limit, above = QuadInt(270, 0, d), QuadInt(271, 0, d)
+    assert at_limit.norm() == limit < above.norm()
+    r = find_representation(at_limit, bound)
+    assert (r.witness, r.states_examined, built) == (None, 49, [(d, bound)])
+    built.clear()
+    r = find_representation(above, bound)
+    assert (r.witness, r.states_examined, built) == (None, 49, [])
 
 
 def test_bound_validation():
