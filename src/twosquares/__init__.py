@@ -20,11 +20,9 @@ from .hunt import HunterHit, HuntResult, hunt_counterexamples
 from .localsolve import (
     LocalVerdict,
     ModularSolution,
-    cutoff_depth,
     locally_solvable,
     locally_solvable_everywhere,
     relevant_primes,
-    solvable_mod,
 )
 from .numth import (
     factorize,
@@ -67,11 +65,9 @@ __all__ = [
     "hunt_counterexamples",
     "LocalVerdict",
     "ModularSolution",
-    "cutoff_depth",
     "locally_solvable",
     "locally_solvable_everywhere",
     "relevant_primes",
-    "solvable_mod",
     "factorize",
     "hilbert_symbol",
     "is_prime",

@@ -23,12 +23,7 @@ from .criterion import (
     verify_classical,
 )
 from .errors import FactorizationError, ParameterError, ResourceLimitError, UnsupportedInputError
-from .localsolve import (
-    DEFAULT_DEPTH_LIMIT,
-    LocalVerdict,
-    locally_solvable,
-    locally_solvable_everywhere,
-)
+from .localsolve import LocalVerdict, locally_solvable, locally_solvable_everywhere
 from .ring import DEFAULT_D, QuadInt, parse_quadint
 from .search import find_representation, verify_witness, witness_jsonable
 
@@ -124,7 +119,7 @@ def _cmd_decide(args) -> int:
 def _cmd_local(args) -> int:
     delta = parse_quadint(args.delta, d=args.d)
     if args.prime is not None:
-        verdicts = [locally_solvable(delta, args.prime, depth_limit=args.depth_limit)]
+        verdicts = [locally_solvable(delta, args.prime)]
     else:
         _, verdicts = locally_solvable_everywhere(delta)
     if args.json:
@@ -249,7 +244,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", required=True)
     p.add_argument("--d", type=int, default=DEFAULT_D)
     p.add_argument("--prime", type=int, default=None, help="single place (default: all relevant)")
-    p.add_argument("--depth-limit", type=int, default=DEFAULT_DEPTH_LIMIT)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_local)
 

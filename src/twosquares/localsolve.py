@@ -1,7 +1,8 @@
 """Per-place solvability of x^2 + y^2 = delta over the completions of
-Z[sqrt(d)]: a closed form at odd places, and at p = 2 modular descent with
-Hensel certification, made exact by a valuation cutoff on the enumeration
-depth.  The descent also serves any prime through solvable_mod."""
+Z[sqrt(d)], in closed form at every place, each positive verdict with a
+Hensel-smooth certificate: the residue-field rule at odd places, and at
+p = 2 a primitive sum of two squares mod 8 after dividing out the largest
+possible even power of the uniformizer."""
 
 from __future__ import annotations
 
@@ -10,15 +11,8 @@ from functools import lru_cache
 from itertools import product
 
 from . import numth
-from .errors import ParameterError, ResourceLimitError
+from .errors import ParameterError
 from .ring import Place, QuadInt, Splitting, split_type
-
-DEFAULT_DEPTH_LIMIT = 64
-
-# Caps on the modular enumeration: level-1 work is ~p^2 classes, and every
-# lifted candidate past level 1 counts as one state.
-_LEVEL1_LIMIT = 2_000_000
-_STATE_BUDGET = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -43,10 +37,11 @@ class LocalVerdict:
 
     For finite places, exhausted_at is the certificate level when solvable,
     or the first level with no solution classes when not.  The certificate
-    level is the first level the descent certifies at when p = 2; the cutoff
-    depth at an odd split place; 1 at an inert place; and at a ramified
-    place 1 when p = 1 mod 4, k + 1 when p = 3 mod 4 and v_w(delta) = 2k.
-    Archimedean verdicts carry neither.
+    level is m + 3 when p = 2, for the least m with delta / pi^(2m) a
+    primitive sum of two squares (pi a uniformizer); 2*ceil(v/2) + 1 at an
+    odd split place, v the larger valuation of delta at its two places; 1 at
+    an inert place; and at a ramified place 1 when p = 1 mod 4, k + 1 when
+    p = 3 mod 4 and v_w(delta) = 2k.  Archimedean verdicts carry neither.
     """
 
     place: Place
@@ -78,13 +73,12 @@ def relevant_primes(delta: QuadInt) -> list[int]:
     return sorted(primes)
 
 
-def _place_valuations(delta: QuadInt, p: int) -> list[int]:
+def _place_valuations(delta: QuadInt, p: int, splitting: Splitting) -> list[int]:
     # w-normalized valuations of delta at the places over p
-    sp = split_type(p, delta.d)
     vn = numth.valuation(abs(delta.norm()), p)
-    if sp is Splitting.RAMIFIED:
+    if splitting is Splitting.RAMIFIED:
         return [vn]
-    if sp is Splitting.INERT:
+    if splitting is Splitting.INERT:
         return [vn // 2]
     m = vn + 1
     modulus = p**m
@@ -99,190 +93,6 @@ def _place_valuations(delta: QuadInt, p: int) -> list[int]:
     return vals
 
 
-def cutoff_depth(delta: QuadInt, p: int) -> int:
-    """Exact verification depth K(p, delta): the descent verdict at depth K
-    equals the verdict at every deeper level."""
-    if delta.is_zero():
-        raise ParameterError("delta must be nonzero")
-    return _cutoff(p, _place_valuations(delta, p))
-
-
-def _cutoff(p: int, vals: list[int]) -> int:
-    return 2 * ((1 if p == 2 else 0) + (max(vals) + 1) // 2) + 1
-
-
-def _capped_valuation(n: int, p: int, cap: int) -> int:
-    if n == 0:
-        return cap
-    return min(numth.valuation(n, p), cap)
-
-
-def _is_smooth(
-    sol: tuple[int, int, int, int], level: int, p: int, d: int, splitting: Splitting
-) -> bool:
-    u, v, s, t = sol
-    if splitting is Splitting.RAMIFIED:
-        cap = 2 * level
-        two = 2 if p == 2 else 0
-        tx = two + _capped_valuation(u * u - d * v * v, p, cap)
-        ty = two + _capped_valuation(s * s - d * t * t, p, cap)
-        return 2 * min(tx, ty) + 1 <= cap
-    if splitting is Splitting.INERT:
-        tx = _capped_valuation(u * u - d * v * v, p, 2 * level) // 2
-        ty = _capped_valuation(s * s - d * t * t, p, 2 * level) // 2
-        return 2 * min(tx, ty) + 1 <= level
-    r = _lift_sqrt(d, p, level)
-    modulus = p**level
-    for sign in (1, -1):
-        tx = _capped_valuation((u + sign * v * r) % modulus, p, level)
-        ty = _capped_valuation((s + sign * t * r) % modulus, p, level)
-        if 2 * min(tx, ty) + 1 > level:
-            return False
-    return True
-
-
-def _solve_2x4_mod_p(
-    rows: tuple[tuple[int, int, int, int], tuple[int, int, int, int]],
-    rhs: tuple[int, int],
-    p: int,
-) -> tuple[list[int], list[list[int]]] | None:
-    # All solutions of the 2x4 linear system rows * xi = rhs over F_p, as a
-    # particular solution plus a basis of the homogeneous ones.
-    m = [[rows[0][i] % p for i in range(4)] + [rhs[0] % p],
-         [rows[1][i] % p for i in range(4)] + [rhs[1] % p]]
-    pivots: list[int] = []
-    row = 0
-    for col in range(4):
-        pr = next((r for r in range(row, 2) if m[r][col]), None)
-        if pr is None:
-            continue
-        m[row], m[pr] = m[pr], m[row]
-        inv = pow(m[row][col], -1, p)
-        m[row] = [x * inv % p for x in m[row]]
-        for r in range(2):
-            if r != row and m[r][col]:
-                f = m[r][col]
-                m[r] = [(x - f * y) % p for x, y in zip(m[r], m[row])]
-        pivots.append(col)
-        row += 1
-        if row == 2:
-            break
-    for r in range(row, 2):
-        if m[r][4]:
-            return None
-    particular = [0, 0, 0, 0]
-    for i, col in enumerate(pivots):
-        particular[col] = m[i][4]
-    basis = []
-    for free_col in (c for c in range(4) if c not in pivots):
-        vec = [0, 0, 0, 0]
-        vec[free_col] = 1
-        for i, col in enumerate(pivots):
-            vec[col] = -m[i][free_col] % p
-        basis.append(vec)
-    return particular, basis
-
-
-def _descend(
-    delta: QuadInt, p: int, k: int, *, stop_on_smooth: bool
-) -> tuple[list[ModularSolution], list[tuple[int, int, int, int]], int | None]:
-    """Walk the solution classes of x^2 + y^2 = delta mod p^j for j = 1..k.
-
-    Returns (smooth, open_branches, empty_level).  Smooth records are kept at
-    their certification level; open branches are the non-certified classes at
-    level k; empty_level is the first j with no classes at all, or None.
-    With stop_on_smooth the walk returns at the first certified class.
-    """
-    a, b, d = delta.a, delta.b, delta.d
-    splitting = split_type(p, delta.d)
-    if p * p > _LEVEL1_LIMIT:
-        raise ResourceLimitError(f"level-1 enumeration needs {p * p} classes; p too large")
-    states = 0
-
-    table: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for s in range(p):
-        ss = s * s
-        for t in range(p):
-            table.setdefault(((ss + d * t * t) % p, 2 * s * t % p), []).append((s, t))
-    level1: list[tuple[int, int, int, int]] = []
-    for u in range(p):
-        uu = u * u
-        for v in range(p):
-            need = ((a - uu - d * v * v) % p, (b - 2 * u * v) % p)
-            for s, t in table.get(need, ()):
-                level1.append((u, v, s, t))
-    states += 2 * p * p
-
-    smooth: list[ModularSolution] = []
-    open_: list[tuple[int, int, int, int]] = []
-    for sol in level1:
-        if _is_smooth(sol, 1, p, d, splitting):
-            smooth.append(ModularSolution(sol[:2], sol[2:], 1, True))
-            if stop_on_smooth:
-                return smooth, open_, None
-        else:
-            open_.append(sol)
-    if not level1:
-        return smooth, [], 1
-
-    for j in range(1, k):
-        base = p**j
-        children: list[tuple[int, int, int, int]] = []
-        for u, v, s, t in open_:
-            f1 = u * u + d * v * v + s * s + d * t * t - a
-            f2 = 2 * (u * v + s * t) - b
-            rows = (
-                (2 * u % p, 2 * d * v % p, 2 * s % p, 2 * d * t % p),
-                (2 * v % p, 2 * u % p, 2 * t % p, 2 * s % p),
-            )
-            rhs = (-(f1 // base) % p, -(f2 // base) % p)
-            solset = _solve_2x4_mod_p(rows, rhs, p)
-            if solset is None:
-                continue
-            particular, basis = solset
-            for coeffs in product(range(p), repeat=len(basis)):
-                xi = list(particular)
-                for c, vec in zip(coeffs, basis):
-                    if c:
-                        xi = [(x + c * y) % p for x, y in zip(xi, vec)]
-                child = (u + base * xi[0], v + base * xi[1], s + base * xi[2], t + base * xi[3])
-                states += 1
-                if states > _STATE_BUDGET:
-                    raise ResourceLimitError(f"descent exceeded {_STATE_BUDGET} states at p={p}")
-                if _is_smooth(child, j + 1, p, d, splitting):
-                    smooth.append(ModularSolution(child[:2], child[2:], j + 1, True))
-                    if stop_on_smooth:
-                        return smooth, children, None
-                else:
-                    children.append(child)
-        children.sort()
-        open_ = children
-        if not open_:
-            if not smooth:
-                return smooth, [], j + 1
-            break
-    return smooth, open_, None
-
-
-def solvable_mod(
-    delta: QuadInt, p: int, k: int, depth_limit: int = DEFAULT_DEPTH_LIMIT
-) -> list[ModularSolution]:
-    """All solution classes of x^2 + y^2 = delta in Z[sqrt(d)]/p^k, compressed:
-    smooth classes are reported once at their certification level (they lift
-    to every deeper level), the rest at level k exactly."""
-    if k < 1:
-        raise ParameterError(f"level must be >= 1, got {k}")
-    if k > depth_limit:
-        raise ResourceLimitError(f"level {k} exceeds depth limit {depth_limit}")
-    split_type(p, delta.d)
-    smooth, open_, empty_level = _descend(delta, p, k, stop_on_smooth=False)
-    if empty_level is not None:
-        return []
-    return sorted(smooth, key=lambda m: (m.level, m.x, m.y)) + [
-        ModularSolution(sol[:2], sol[2:], k, False) for sol in open_
-    ]
-
-
 def _unit_two_squares(c: int, p: int, k: int) -> tuple[int, int]:
     # X^2 + Y^2 = c mod p^k for odd p and a unit c, with Y a unit so the pair
     # is Hensel-smooth.  Mod p there are p - (-1/p) >= 2 solutions, at most
@@ -294,13 +104,14 @@ def _unit_two_squares(c: int, p: int, k: int) -> tuple[int, int]:
     raise RuntimeError(f"no unit solution of x^2 + y^2 = {c} mod {p}; invariant violated")
 
 
-def _odd_verdict(delta: QuadInt, p: int, place: Place, vals: list[int], depth: int) -> LocalVerdict:
+def _odd_verdict(delta: QuadInt, p: int, place: Place, vals: list[int]) -> LocalVerdict:
     # Closed form at odd p (O'Meara, Introduction to Quadratic Forms, 63;
     # Serre, A Course in Arithmetic, III): x^2 + y^2 = delta fails only at a
     # place with residue field F_p, p = 3 mod 4 and odd valuation.  Anywhere
     # else -1 is a residue-field square and the form is XY.
     a, b, d = delta.a, delta.b, delta.d
     splitting = place.splitting
+    depth = 2 * ((max(vals) + 1) // 2) + 1  # a split place's certificate level
     if p % 4 == 3 and splitting is not Splitting.INERT:
         odd = [v for v in vals if v % 2]
         if odd:
@@ -348,25 +159,81 @@ def _odd_verdict(delta: QuadInt, p: int, place: Place, vals: list[int], depth: i
     return LocalVerdict(place, True, ModularSolution(x, y, level, True), level)
 
 
-def locally_solvable(delta: QuadInt, p: int, depth_limit: int = DEFAULT_DEPTH_LIMIT) -> LocalVerdict:
+def _mul_mod(x: tuple[int, int], y: tuple[int, int], d: int, m: int) -> tuple[int, int]:
+    return ((x[0] * y[0] + d * x[1] * y[1]) % m, (x[0] * y[1] + x[1] * y[0]) % m)
+
+
+def _pow_mod(x: tuple[int, int], e: int, d: int, m: int) -> tuple[int, int]:
+    result = (1, 0)
+    while e:
+        if e & 1:
+            result = _mul_mod(result, x, d, m)
+        x = _mul_mod(x, x, d, m)
+        e >>= 1
+    return result
+
+
+@lru_cache(maxsize=64)
+def _primitive_sums_mod(d: int, j: int) -> dict[tuple[int, int], tuple[tuple[int, int], tuple[int, int]]]:
+    # P_j: every x0^2 + y0^2 in Z[sqrt(d)]/2^j with x0 a unit (odd norm),
+    # keyed by value, each with the first (x0, y0) that reaches it
+    m = 2**j
+    sums: dict[tuple[int, int], tuple[tuple[int, int], tuple[int, int]]] = {}
+    for u, v, s, t in product(range(m), repeat=4):
+        if (u * u - d * v * v) % 2:
+            key = ((u * u + d * v * v + s * s + d * t * t) % m, 2 * (u * v + s * t) % m)
+            sums.setdefault(key, ((u, v), (s, t)))
+    return sums
+
+
+def _two_adic_verdict(delta: QuadInt, place: Place, v: int) -> LocalVerdict:
+    # 2 ramifies with uniformizer pi and pi^2 = 2w, w a unit: pi = sqrt(d),
+    # w = d/2 when d = 2 mod 4; pi = 1 + sqrt(d), w = (1 + d)/2 + sqrt(d)
+    # when d = 3 mod 4.  v = v_pi(delta) = v_2(N(delta)).  A solution with
+    # min(v_pi(x), v_pi(y)) = m makes eps_m = delta / pi^(2m) a primitive
+    # sum x0^2 + y0^2, and such a sum mod 8 with x0 a unit lifts (Hensel:
+    # 2 * v_pi(2 x0) = 4 < 6 = v_pi(8)).  So delta is a sum of two squares
+    # over Z_2[sqrt(d)] iff some m <= v/2 has eps_m mod 8 in P_3.
+    a, b, d = delta.a, delta.b, delta.d
+    pi, w = ((0, 1), (d // 2, 0)) if d % 4 == 2 else ((1, 1), ((1 + d) // 2, 1))
+    inv = pow(w[0] * w[0] - d * w[1] * w[1], -1, 8)
+    w_inv = (w[0] * inv % 8, -w[1] * inv % 8)
+    half = v // 2
+    p3 = _primitive_sums_mod(d, 3)
+    eps = []
+    for m in range(half + 1):
+        # pi^(2m) = 2^m w^m divides delta, so 2^m divides both coordinates
+        e = _mul_mod((a >> m, b >> m), _pow_mod(w_inv, m, d, 8), d, 8)
+        if e in p3:
+            level = m + 3
+            pi_m = _pow_mod(pi, m, d, 2**level)
+            x, y = (_mul_mod(pi_m, r, d, 2**level) for r in p3[e])
+            return LocalVerdict(place, True, ModularSolution(x, y, level, True), level)
+        eps.append(e)
+    # Classes mod 2^k exist while 2k <= v (x = y = 0).  Past that, a class
+    # with min valuation m has m <= half and reduces eps_m to a primitive sum
+    # mod 2^(k-m); no eps_m is one mod 8, so only m = k - 2, k - 1 can leave
+    # a class, and level half + 3 is empty.
+    k = half + 1
+    while any(
+        (eps[m][0] % 2 ** (k - m), eps[m][1] % 2 ** (k - m)) in _primitive_sums_mod(d, k - m)
+        for m in (k - 2, k - 1)
+        if 0 <= m <= half
+    ):
+        k += 1
+    return LocalVerdict(place, False, None, k)
+
+
+def locally_solvable(delta: QuadInt, p: int) -> LocalVerdict:
     """Decide solvability of x^2 + y^2 = delta over both completions of
-    Z[sqrt(d)] above p: in closed form at odd p, and at p = 2 by descent to
-    the exact cutoff depth, which must not exceed depth_limit."""
+    Z[sqrt(d)] above p, in closed form."""
     if delta.is_zero():
         raise ParameterError("delta must be nonzero")
     place = Place(p, split_type(p, delta.d))
-    vals = _place_valuations(delta, p)
-    depth = _cutoff(p, vals)
-    if p != 2:
-        return _odd_verdict(delta, p, place, vals, depth)
-    if depth > depth_limit:
-        raise ResourceLimitError(f"cutoff depth {depth} exceeds limit {depth_limit}")
-    smooth, _, empty_level = _descend(delta, p, depth, stop_on_smooth=True)
-    if smooth:
-        return LocalVerdict(place, True, smooth[0], smooth[0].level)
-    if empty_level is not None:
-        return LocalVerdict(place, False, None, empty_level)
-    raise RuntimeError(f"descent unresolved at cutoff {depth} for p={p}; invariant violated")
+    vals = _place_valuations(delta, p, place.splitting)
+    if p == 2:
+        return _two_adic_verdict(delta, place, vals[0])
+    return _odd_verdict(delta, p, place, vals)
 
 
 def _embedding_nonneg(a: int, b: int, d: int) -> bool:

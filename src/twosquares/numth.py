@@ -193,14 +193,20 @@ def valuation(n: int, p: int) -> int:
     return v
 
 
+def _euler_criterion(a: int, p: int, k: int = 2) -> bool:
+    # Whether a is a k-th power residue mod the odd prime p, for p not
+    # dividing a: a^((p-1)/gcd(k, p-1)) = 1 (mod p).  p is not checked, so
+    # callers pass primes they already hold.
+    return pow(a % p, (p - 1) // gcd(k, p - 1), p) == 1
+
+
 def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) for an odd prime p: one of -1, 0, 1."""
     if p == 2 or not is_prime(p):
         raise ParameterError(f"legendre requires an odd prime modulus, got {p}")
-    r = pow(a % p, (p - 1) // 2, p)
-    if r == 0:
+    if a % p == 0:
         return 0
-    return 1 if r == 1 else -1
+    return 1 if _euler_criterion(a, p) else -1
 
 
 def jacobi(a: int, n: int) -> int:
@@ -231,7 +237,7 @@ def is_quartic_residue(a: int, p: int) -> bool:
         raise ParameterError(f"quartic residue test requires an odd prime, got {p}")
     if a % p == 0:
         raise ParameterError(f"quartic residue test requires p coprime to a, got a={a}, p={p}")
-    return pow(a % p, (p - 1) // gcd(4, p - 1), p) == 1
+    return _euler_criterion(a, p, 4)
 
 
 def sqrt_mod_prime(a: int, p: int) -> int:

@@ -107,7 +107,7 @@ def split_type(p: int, d: int = DEFAULT_D) -> Splitting:
         raise ParameterError(f"split_type requires a prime, got {p}")
     if (2 * d) % p == 0:
         return Splitting.RAMIFIED
-    return Splitting.SPLIT if numth.legendre(d, p) == 1 else Splitting.INERT
+    return Splitting.SPLIT if numth._euler_criterion(d, p) else Splitting.INERT
 
 
 @dataclass(frozen=True)
@@ -151,16 +151,16 @@ class NormFactorization:
 
 
 def _partition(primes: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], ...]:
+    # the primes come from factorize and are prime to 14, so each symbol is
+    # +1 or -1 and Euler's criterion needs no primality check
     d1, d2, d3 = [], [], []
     for p, _ in primes:
-        m1 = numth.legendre(-1, p)
-        m14 = numth.legendre(14, p)
-        m7 = numth.legendre(7, p)
-        if m1 == 1 and m14 == 1 and m7 == -1:
+        r1, r14, r7 = (numth._euler_criterion(c, p) for c in (-1, 14, 7))
+        if r1 and r14 and not r7:
             d1.append(p)
-        if m1 == 1 and m14 == -1 and m7 == -1:
+        if r1 and not r14 and not r7:
             d2.append(p)
-        if m1 == 1 and m14 == 1 and not numth.is_quartic_residue(7, p):
+        if r1 and r14 and not numth._euler_criterion(7, p, 4):
             d3.append(p)
     return tuple(d1), tuple(d2), tuple(d3)
 

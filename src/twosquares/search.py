@@ -1,6 +1,6 @@
 """Brute-force ground truth: bounded exhaustive representation search over
-Z[sqrt(d)], a residue sieve that refutes deltas before the search, and the
-classical two-square search over Z.
+Z[sqrt(d)] behind a residue mask, a residue sieve that refutes deltas before
+the search, and the classical two-square search over Z.
 
 This module imports neither the local solver nor the number-theory kernels,
 so a refutation by the sieve stays an independent witness against them."""
@@ -11,10 +11,17 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
-from .errors import ParameterError
+from .errors import ParameterError, ResourceLimitError
 from .ring import QuadInt
 
 SQUARE_TABLE_CACHE_SIZE = 4
+# The table of squares holds (2*bound + 1)^2 entries at ~250 bytes each:
+# ~10 MB at bound 100, ~107 MB at this cap.
+MAX_SEARCH_BOUND = 300
+
+# If y^2 = delta - x^2 then delta - x^2 is a square mod every m, so the scan
+# skips every x that fails this mod one of these moduli.
+MASK_MODULI = (16, 9, 5, 7, 13)
 
 # Tried in order; together they refute every delta in the |a|, |b| <= 25
 # box that the nine moduli 64, 27, 25, 49, 11, 13, 17, 19, 23 refute.
@@ -42,10 +49,32 @@ def _squares_by_value(d: int, bound: int) -> dict[tuple[int, int], tuple[tuple[i
 
 
 @lru_cache(maxsize=32)
+def _squares_mod(d: int, m: int) -> frozenset[tuple[int, int]]:
+    # every y^2 in Z[sqrt(d)]/m, as coordinate pairs reduced mod m
+    return frozenset(((s * s + d * t * t) % m, 2 * s * t % m) for s in range(m) for t in range(m))
+
+
+@lru_cache(maxsize=32)
 def _sums_of_two_squares_mod(d: int, m: int) -> frozenset[tuple[int, int]]:
     # every x^2 + y^2 in Z[sqrt(d)]/m, as coordinate pairs reduced mod m
-    squares = {((s * s + d * t * t) % m, 2 * s * t % m) for s in range(m) for t in range(m)}
+    squares = _squares_mod(d, m)
     return frozenset(((a1 + a2) % m, (b1 + b2) % m) for a1, b1 in squares for a2, b2 in squares)
+
+
+@lru_cache(maxsize=1024)
+def _mask_rows(d: int, m: int, a: int, b: int, bound: int) -> tuple[int, ...]:
+    # Row r has bit v + bound set, for v in [-bound, bound], iff
+    # (a + b*sqrt(d)) - (r + v*sqrt(d))^2 is a square mod m; a and b come
+    # reduced mod m, and rows are indexed by u mod m.
+    squares = _squares_mod(d, m)
+    width = 2 * bound + 1
+    full = (1 << width) - 1
+    comb = sum(1 << i for i in range(0, width, m))  # bits 0, m, 2m, ...
+    combs = [(comb << (c + bound) % m) & full for c in range(m)]
+    return tuple(
+        sum(combs[c] for c in range(m) if ((a - r * r - d * c * c) % m, (b - 2 * r * c) % m) in squares)
+        for r in range(m)
+    )
 
 
 def residue_obstruction(delta: QuadInt) -> int | None:
@@ -80,12 +109,16 @@ def find_representation(delta: QuadInt, bound: int) -> SearchReport:
 
     Returns the lexicographically smallest witness by (x.a, x.b, y.a, y.b).
     With (u, v, s, t) a witness so is (-u, -v, s, t), so that witness has
-    x.a <= 0 and only u <= 0 is scanned; `states_examined` counts the
-    (x.a, x.b) pairs tried up to the hit, and a miss reports the whole
-    box, (2*bound + 1)^2.  An odd b coordinate is rejected outright (0
-    states): the sqrt(d) coordinate of x^2 + y^2 is 2(uv + st), always
-    even.  For d < 0 a norm above (2(1 - d)*bound^2)^2 is a miss without a
-    scan: every coordinate-bounded x has |x|^2 = u^2 - d*v^2 <= (1 - d)*bound^2.
+    x.a <= 0 and only u <= 0 is scanned, in (u, v) order; an x = u + v*sqrt(d)
+    with delta - x^2 not a square mod some m in MASK_MODULI is skipped, as it
+    holds no witness.  `states_examined` is the position of the witness's x
+    in the scan of every (u, v) of the box, skipped ones included, and a miss
+    reports the whole box, (2*bound + 1)^2.  An odd b coordinate is rejected
+    outright (0 states): the sqrt(d) coordinate of x^2 + y^2 is 2(uv + st),
+    always even.  For d < 0 a norm above (2(1 - d)*bound^2)^2 is a miss
+    without a scan: every coordinate-bounded x has |x|^2 = u^2 - d*v^2 <=
+    (1 - d)*bound^2.  A bound above MAX_SEARCH_BOUND raises
+    ResourceLimitError.
     """
     if bound < 1:
         raise ParameterError(f"bound must be >= 1, got {bound}")
@@ -95,22 +128,29 @@ def find_representation(delta: QuadInt, bound: int) -> SearchReport:
         return SearchReport(delta, bound, (zero, zero), 0)
     if delta.b % 2:
         return SearchReport(delta, bound, None, 0)
-    box = (2 * bound + 1) ** 2
+    width = 2 * bound + 1
     if d < 0 and delta.norm() > (2 * (1 - d) * bound * bound) ** 2:
-        return SearchReport(delta, bound, None, box)
+        return SearchReport(delta, bound, None, width * width)
+    if bound > MAX_SEARCH_BOUND:
+        raise ResourceLimitError(f"search bound {bound} exceeds {MAX_SEARCH_BOUND}")
     table = _squares_by_value(d, bound)
     a, b = delta.a, delta.b
-    states = 0
+    masks = [(m, _mask_rows(d, m, a % m, b % m, bound)) for m in MASK_MODULI]
     for u in range(-bound, 1):
         uu = u * u
-        for v in range(-bound, bound + 1):
-            states += 1
+        live = (1 << width) - 1
+        for m, rows in masks:
+            live &= rows[u % m]
+        while live:
+            low = live & -live
+            v = low.bit_length() - 1 - bound
             roots = table.get((a - uu - d * v * v, b - 2 * u * v))
             if roots:
                 s, t = roots[0]
                 witness = (QuadInt(u, v, d), QuadInt(s, t, d))
-                return SearchReport(delta, bound, witness, states)
-    return SearchReport(delta, bound, None, box)
+                return SearchReport(delta, bound, witness, (u + bound) * width + v + bound + 1)
+            live ^= low
+    return SearchReport(delta, bound, None, width * width)
 
 
 def two_square_search(n: int) -> tuple[int, int] | None:

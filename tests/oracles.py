@@ -1,15 +1,27 @@
 """Brute-force oracles used to cross-check the library.
 
 Everything here recomputes answers from definitions with plain loops, so
-these checks share no nontrivial code path with the implementation.
+these checks share no nontrivial code path with the implementation.  The
+modular descent at the end is the oracle of the local solver: it walks every
+solution class of x^2 + y^2 = delta mod p^j up to a cutoff depth at which
+its verdict is exact.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 from math import isqrt
 
-from twosquares.ring import QuadInt
+from twosquares.errors import ParameterError, ResourceLimitError
+from twosquares.localsolve import ModularSolution
+from twosquares.ring import QuadInt, Splitting
+
+# Caps on the descent: levels, level-1 work (~p^2 classes), and every lifted
+# candidate past level 1 counts as one state.
+_DEPTH_LIMIT = 64
+_LEVEL1_LIMIT = 2_000_000
+_STATE_BUDGET = 20_000_000
 
 
 def brute_factorize(n: int) -> list[tuple[int, int]]:
@@ -131,19 +143,244 @@ def is_representation(delta: QuadInt, x: QuadInt, y: QuadInt) -> bool:
     return ra == delta.a and rb == delta.b and x.d == y.d == delta.d
 
 
+@lru_cache(maxsize=None)
+def _first_roots(d: int, bound: int) -> dict[tuple[int, int], tuple[int, int]]:
+    # the first (s, t) of the box, in (s, t) order, with (s + t*w)^2 = key
+    roots: dict[tuple[int, int], tuple[int, int]] = {}
+    for s in range(-bound, bound + 1):
+        for t in range(-bound, bound + 1):
+            roots.setdefault((s * s + d * t * t, 2 * s * t), (s, t))
+    return roots
+
+
 def full_box_scan(delta: QuadInt, bound: int) -> tuple[tuple[QuadInt, QuadInt] | None, int]:
     """The first (x, y) with x^2 + y^2 = delta and every coordinate in
     [-bound, bound], in (x.a, x.b, y.a, y.b) order, and how many x were
     tried up to it (every x of the box on a miss)."""
     a, b, d = delta.a, delta.b, delta.d
+    roots = _first_roots(d, bound)
     box = range(-bound, bound + 1)
     tried = 0
     for u in box:
         for v in box:
             tried += 1
-            ra, rb = a - u * u - d * v * v, b - 2 * u * v
-            for s in box:
-                for t in box:
-                    if s * s + d * t * t == ra and 2 * s * t == rb:
-                        return (QuadInt(u, v, d), QuadInt(s, t, d)), tried
+            root = roots.get((a - u * u - d * v * v, b - 2 * u * v))
+            if root is not None:
+                return (QuadInt(u, v, d), QuadInt(*root, d)), tried
     return None, tried
+
+
+def _valuation(n: int, p: int) -> int:
+    v = 0
+    while n % p == 0:
+        n //= p
+        v += 1
+    return v
+
+
+def _splitting(p: int, d: int) -> Splitting:
+    if (2 * d) % p == 0:
+        return Splitting.RAMIFIED
+    return Splitting.SPLIT if brute_legendre(d, p) == 1 else Splitting.INERT
+
+
+@lru_cache(maxsize=None)
+def _lift_sqrt(a: int, p: int, k: int) -> int:
+    """A square root of a mod p^k for odd p, found mod p by scanning and
+    lifted one digit at a time."""
+    r = next(r for r in range(p) if (r * r - a) % p == 0)
+    for j in range(1, k):
+        m = p**j
+        r += next(c for c in range(p) if ((r + c * m) ** 2 - a) % (m * p) == 0) * m
+    return r
+
+
+def _place_valuations(delta: QuadInt, p: int) -> list[int]:
+    # valuations of delta at the places over p, each normalized to its place
+    vn = _valuation(abs(delta.norm()), p)
+    splitting = _splitting(p, delta.d)
+    if splitting is Splitting.RAMIFIED:
+        return [vn]
+    if splitting is Splitting.INERT:
+        return [vn // 2]
+    m = p ** (vn + 1)
+    r = _lift_sqrt(delta.d, p, vn + 1)
+    return [_valuation((delta.a + sign * delta.b * r) % m, p) for sign in (1, -1)]
+
+
+def cutoff_depth(delta: QuadInt, p: int) -> int:
+    """Exact verification depth K(p, delta): the descent verdict at depth K
+    equals the verdict at every deeper level."""
+    if delta.is_zero():
+        raise ParameterError("delta must be nonzero")
+    vals = _place_valuations(delta, p)
+    return 2 * ((1 if p == 2 else 0) + (max(vals) + 1) // 2) + 1
+
+
+def _capped_valuation(n: int, p: int, cap: int) -> int:
+    if n == 0:
+        return cap
+    return min(_valuation(n, p), cap)
+
+
+def _is_smooth(
+    sol: tuple[int, int, int, int], level: int, p: int, d: int, splitting: Splitting
+) -> bool:
+    u, v, s, t = sol
+    if splitting is Splitting.RAMIFIED:
+        cap = 2 * level
+        two = 2 if p == 2 else 0
+        tx = two + _capped_valuation(u * u - d * v * v, p, cap)
+        ty = two + _capped_valuation(s * s - d * t * t, p, cap)
+        return 2 * min(tx, ty) + 1 <= cap
+    if splitting is Splitting.INERT:
+        tx = _capped_valuation(u * u - d * v * v, p, 2 * level) // 2
+        ty = _capped_valuation(s * s - d * t * t, p, 2 * level) // 2
+        return 2 * min(tx, ty) + 1 <= level
+    r = _lift_sqrt(d, p, level)
+    modulus = p**level
+    for sign in (1, -1):
+        tx = _capped_valuation((u + sign * v * r) % modulus, p, level)
+        ty = _capped_valuation((s + sign * t * r) % modulus, p, level)
+        if 2 * min(tx, ty) + 1 > level:
+            return False
+    return True
+
+
+def _solve_2x4_mod_p(
+    rows: tuple[tuple[int, int, int, int], tuple[int, int, int, int]],
+    rhs: tuple[int, int],
+    p: int,
+) -> tuple[list[int], list[list[int]]] | None:
+    # All solutions of the 2x4 linear system rows * xi = rhs over F_p, as a
+    # particular solution plus a basis of the homogeneous ones.
+    m = [[rows[0][i] % p for i in range(4)] + [rhs[0] % p],
+         [rows[1][i] % p for i in range(4)] + [rhs[1] % p]]
+    pivots: list[int] = []
+    row = 0
+    for col in range(4):
+        pr = next((r for r in range(row, 2) if m[r][col]), None)
+        if pr is None:
+            continue
+        m[row], m[pr] = m[pr], m[row]
+        inv = pow(m[row][col], -1, p)
+        m[row] = [x * inv % p for x in m[row]]
+        for r in range(2):
+            if r != row and m[r][col]:
+                f = m[r][col]
+                m[r] = [(x - f * y) % p for x, y in zip(m[r], m[row])]
+        pivots.append(col)
+        row += 1
+        if row == 2:
+            break
+    for r in range(row, 2):
+        if m[r][4]:
+            return None
+    particular = [0, 0, 0, 0]
+    for i, col in enumerate(pivots):
+        particular[col] = m[i][4]
+    basis = []
+    for free_col in (c for c in range(4) if c not in pivots):
+        vec = [0, 0, 0, 0]
+        vec[free_col] = 1
+        for i, col in enumerate(pivots):
+            vec[col] = -m[i][free_col] % p
+        basis.append(vec)
+    return particular, basis
+
+
+def _descend(
+    delta: QuadInt, p: int, k: int, *, stop_on_smooth: bool
+) -> tuple[list[ModularSolution], list[tuple[int, int, int, int]], int | None]:
+    """Walk the solution classes of x^2 + y^2 = delta mod p^j for j = 1..k.
+
+    Returns (smooth, open_branches, empty_level).  Smooth records are kept at
+    their certification level; open branches are the non-certified classes at
+    level k; empty_level is the first j with no classes at all, or None.
+    With stop_on_smooth the walk returns at the first certified class.
+    """
+    a, b, d = delta.a, delta.b, delta.d
+    if p * p > _LEVEL1_LIMIT:
+        raise ResourceLimitError(f"level-1 enumeration needs {p * p} classes; p too large")
+    splitting = _splitting(p, d)
+    states = 0
+
+    table: dict[tuple[int, int], list[tuple[int, int]]] = {}
+    for s in range(p):
+        ss = s * s
+        for t in range(p):
+            table.setdefault(((ss + d * t * t) % p, 2 * s * t % p), []).append((s, t))
+    level1: list[tuple[int, int, int, int]] = []
+    for u in range(p):
+        uu = u * u
+        for v in range(p):
+            need = ((a - uu - d * v * v) % p, (b - 2 * u * v) % p)
+            for s, t in table.get(need, ()):
+                level1.append((u, v, s, t))
+    states += 2 * p * p
+
+    smooth: list[ModularSolution] = []
+    open_: list[tuple[int, int, int, int]] = []
+    for sol in level1:
+        if _is_smooth(sol, 1, p, d, splitting):
+            smooth.append(ModularSolution(sol[:2], sol[2:], 1, True))
+            if stop_on_smooth:
+                return smooth, open_, None
+        else:
+            open_.append(sol)
+    if not level1:
+        return smooth, [], 1
+
+    for j in range(1, k):
+        base = p**j
+        children: list[tuple[int, int, int, int]] = []
+        for u, v, s, t in open_:
+            f1 = u * u + d * v * v + s * s + d * t * t - a
+            f2 = 2 * (u * v + s * t) - b
+            rows = (
+                (2 * u % p, 2 * d * v % p, 2 * s % p, 2 * d * t % p),
+                (2 * v % p, 2 * u % p, 2 * t % p, 2 * s % p),
+            )
+            rhs = (-(f1 // base) % p, -(f2 // base) % p)
+            solset = _solve_2x4_mod_p(rows, rhs, p)
+            if solset is None:
+                continue
+            particular, basis = solset
+            for coeffs in product(range(p), repeat=len(basis)):
+                xi = list(particular)
+                for c, vec in zip(coeffs, basis):
+                    if c:
+                        xi = [(x + c * y) % p for x, y in zip(xi, vec)]
+                child = (u + base * xi[0], v + base * xi[1], s + base * xi[2], t + base * xi[3])
+                states += 1
+                if states > _STATE_BUDGET:
+                    raise ResourceLimitError(f"descent exceeded {_STATE_BUDGET} states at p={p}")
+                if _is_smooth(child, j + 1, p, d, splitting):
+                    smooth.append(ModularSolution(child[:2], child[2:], j + 1, True))
+                    if stop_on_smooth:
+                        return smooth, children, None
+                else:
+                    children.append(child)
+        children.sort()
+        open_ = children
+        if not open_:
+            if not smooth:
+                return smooth, [], j + 1
+            break
+    return smooth, open_, None
+
+
+def solvable_mod(delta: QuadInt, p: int, k: int) -> list[ModularSolution]:
+    """All solution classes of x^2 + y^2 = delta in Z[sqrt(d)]/p^k, compressed:
+    smooth classes are reported once at their certification level (they lift
+    to every deeper level), the rest at level k exactly."""
+    if k < 1:
+        raise ParameterError(f"level must be >= 1, got {k}")
+    if k > _DEPTH_LIMIT:
+        raise ResourceLimitError(f"level {k} exceeds depth limit {_DEPTH_LIMIT}")
+    smooth, open_, empty_level = _descend(delta, p, k, stop_on_smooth=False)
+    if empty_level is not None:
+        return []
+    return sorted(smooth, key=lambda m: (m.level, m.x, m.y)) + [
+        ModularSolution(sol[:2], sol[2:], k, False) for sol in open_
+    ]

@@ -8,12 +8,12 @@ import random
 import time
 from collections import Counter
 
-from oracles import brute_legendre, conic_solvable_qp
+from oracles import _descend, brute_legendre, conic_solvable_qp, cutoff_depth
 from twosquares import numth
 from twosquares.cli import canonical_json
 from twosquares.criterion import DecisionStatus, verify_classical
 from twosquares.hunt import hunt_counterexamples, result_lines
-from twosquares.localsolve import _descend, cutoff_depth, locally_solvable
+from twosquares.localsolve import locally_solvable
 from twosquares.ring import QuadInt, norm_factorization
 
 # Found by the hunter itself over |a|,|b| <= 25 at bound 100, then frozen.

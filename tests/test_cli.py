@@ -4,7 +4,9 @@ import json
 import os
 import subprocess
 import sys
+import time
 
+from twosquares import search
 from twosquares.cli import canonical_json, decision_jsonable, run
 from twosquares.criterion import decide_qsqrt_m14
 from twosquares.ring import QuadInt
@@ -105,6 +107,26 @@ def test_search_json_and_text(capsys):
     assert doc["witness_verified"] is True
     assert run(["search", "--delta=3,1", "--bound", "5"]) == 0
     assert "no witness" in capsys.readouterr().out
+
+
+def test_search_bound_over_the_cap_exits_3(monkeypatch, capsys):
+    assert run(["search", "--delta=-1,0", "--bound", "100"]) == 0  # the hunt's bound
+    capsys.readouterr()
+    built = []
+    monkeypatch.setattr(search, "_squares_by_value", lambda *key: built.append(key))
+    assert run(["search", "--delta=-1,0", "--bound", "100000"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert captured.out == "" and built == []
+
+
+def test_decide_high_powers_of_two(capsys):
+    # squares with a high power of 2 in the norm; p = 2 is decided in closed form
+    for a in (1024, 4096, 2147483648):
+        t0 = time.perf_counter()
+        assert run(["decide", f"--delta={a},0", "--json"]) == 0
+        assert time.perf_counter() - t0 < 1.0, a
+        assert json.loads(capsys.readouterr().out)["status"] == "representable"
 
 
 def test_classical_exit_codes(capsys):

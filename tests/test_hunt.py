@@ -1,5 +1,7 @@
 """Hasse-principle counterexample hunter."""
 
+import hashlib
+
 from twosquares import hunt
 from twosquares.cli import canonical_json
 from twosquares.criterion import DecisionStatus
@@ -9,6 +11,18 @@ BOX5_HITS = [
     (-4, 0), (-3, -4), (-3, 4), (-2, 0), (-1, 0),
     (4, -2), (4, 2), (5, -2), (5, 2),
 ]
+
+# SHA-256 of the JSON lines of hunt_counterexamples(12, 100), as `hunt`
+# writes them, frozen while the p = 2 verdict was still a descent and the
+# search scanned every (u, v)
+BOX12_DIGEST = "ee107e6acbbbc17eaebb9e9b2f4679c76001a23ffbcc2c622c4805c6a8c5f595"
+
+
+def test_box12_output_is_frozen():
+    result = hunt_counterexamples(12, 100, workers=1)
+    text = "".join(canonical_json(line) + "\n" for line in result_lines(result))
+    assert result.summary["hits"] == 39
+    assert hashlib.sha256(text.encode()).hexdigest() == BOX12_DIGEST
 
 
 def test_box5_fixed():

@@ -1,20 +1,17 @@
-"""Local solvability: descent engine, Hensel certificates, cutoff exactness."""
+"""Local solvability: closed forms, Hensel certificates, and agreement with
+the descent oracle."""
 
 import random
 
 import pytest
 
-from oracles import brute_ring_classes
+from oracles import _descend, _is_smooth, brute_ring_classes, cutoff_depth, solvable_mod
 from twosquares.errors import ParameterError, ResourceLimitError
 from twosquares.localsolve import (
     ModularSolution,
-    _descend,
-    _is_smooth,
-    cutoff_depth,
     locally_solvable,
     locally_solvable_everywhere,
     relevant_primes,
-    solvable_mod,
 )
 from twosquares.ring import QuadInt, Splitting, split_type
 
@@ -137,6 +134,41 @@ def test_odd_place_closed_form_agrees_with_descent():
                     assert _is_smooth(sol, cert.level, p, d, split_type(p, d)), (a, b, d, p)
 
 
+def test_two_adic_closed_form_agrees_with_descent():
+    # the p = 2 verdict comes from a closed form; the descent must reach the
+    # same verdict at the same level, and certify the same level on success
+    certified = 0
+    for d in (-14, -13, -10, -6, -5, -1, 2, 3, 6, 7, 14, 15):
+        for a in range(-12, 13):
+            for b in range(-12, 13):
+                if a == 0 and b == 0:
+                    continue
+                delta = QuadInt(a, b, d)
+                verdict = locally_solvable(delta, 2)
+                smooth, _, empty_level = _descend(delta, 2, cutoff_depth(delta, 2), stop_on_smooth=True)
+                assert verdict.solvable == bool(smooth), delta
+                if not verdict.solvable:
+                    assert verdict.exhausted_at == empty_level, delta
+                    continue
+                cert = verdict.certificate
+                assert verdict.exhausted_at == cert.level == smooth[0].level, delta
+                _check_congruences(delta, cert, 2)
+                assert _is_smooth((*cert.x, *cert.y), cert.level, 2, d, Splitting.RAMIFIED), delta
+                certified += 1
+    assert certified == 3108
+
+
+def test_high_powers_of_two():
+    # squares whose cutoff depth the descent could not reach
+    for e in (10, 12, 31, 200):
+        delta = QuadInt(2**e, 0)
+        verdict = locally_solvable(delta, 2)
+        assert verdict.solvable, e
+        cert = verdict.certificate
+        _check_congruences(delta, cert, 2)
+        assert _is_smooth((*cert.x, *cert.y), cert.level, 2, -14, Splitting.RAMIFIED), e
+
+
 def test_large_odd_ramified_place():
     # 1511^2 is past the level-1 enumeration cap; the closed form needs none
     verdict = locally_solvable(QuadInt(1511, 1, -3022), 1511)
@@ -195,7 +227,7 @@ def test_parameter_errors():
 def test_resource_limits():
     with pytest.raises(ResourceLimitError):
         solvable_mod(QuadInt(1, 1), 2, 100)
-    with pytest.raises(ResourceLimitError):
-        locally_solvable(QuadInt(8, 0), 2, depth_limit=3)
+    # the closed form has no depth to limit
+    assert locally_solvable(QuadInt(2**200, 0), 2).solvable
     with pytest.raises(ResourceLimitError):
         solvable_mod(QuadInt(1, 1), 1423, 1)

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from oracles import brute_legendre, quartic_residues
+from twosquares import numth, ring
 from twosquares.errors import ParameterError, UnsupportedInputError
 from twosquares.ring import (
     DEFAULT_D,
@@ -179,6 +180,16 @@ def test_partition_matches_symbol_definitions():
             assert (p in nf.d1) == in_d1
             assert (p in nf.d2) == in_d2
             assert (p in nf.d3) == in_d3
+
+
+def test_partition_does_not_reprove_primes(monkeypatch):
+    # the primes come from factorize; classifying them tests none again
+    calls = []
+    is_prime = numth.is_prime
+    monkeypatch.setattr(numth, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    primes = ((3, 1), (5, 2), (13, 1), (17, 1), (1009, 1), (1000000007, 1))
+    assert ring._partition(primes) == ((5, 13), (17,), (5, 13))
+    assert calls == []
 
 
 def test_norm_factorization_rejects():

@@ -83,14 +83,16 @@ def test_generated_deltas_are_found():
 
 
 def test_search_matches_full_box_scan():
-    for d in (-14, -5, 3):
-        for a in range(-8, 9):
-            for b in range(-8, 9):
+    # the residue-masked half scan finds the full scan's first witness at
+    # the same position
+    for d in (-14, -5, -13, 2, 3, 7):
+        for a in range(-10, 11):
+            for b in range(-10, 11):
                 delta = QuadInt(a, b, d)
                 if delta.is_zero():
                     continue
-                r = find_representation(delta, 6)
-                witness, tried = full_box_scan(delta, 6)
+                r = find_representation(delta, 20)
+                witness, tried = full_box_scan(delta, 20)
                 assert r.witness == witness, delta
                 if b % 2 == 0:  # odd b is refuted before any state
                     assert r.states_examined == tried, delta
