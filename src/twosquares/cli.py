@@ -28,6 +28,8 @@ from .ring import DEFAULT_D, QuadInt, parse_quadint
 from .search import find_representation, verify_witness, witness_jsonable
 
 WORKERS_ENV = "TWOSQUARES_WORKERS"
+# the argparse subcommands, in the order of the usage line
+COMMANDS = ("decide", "local", "search", "hunt", "classical")
 
 
 def canonical_json(obj) -> str:
@@ -225,46 +227,55 @@ def _run_symbols(argv: list[str]) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser with every subcommand, or, for a name in COMMANDS, with
+    that subcommand alone, which is much cheaper to build."""
     parser = argparse.ArgumentParser(
         prog="twosquares",
         description="Decide sums of two squares over Z[sqrt(-14)] and related rings.",
         epilog='Write negative coordinates with "=", e.g. --delta=-13,2.',
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # the usage line names every subcommand even when one is built
+    metavar = "{" + ",".join(COMMANDS) + "}" if command else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
 
-    p = sub.add_parser("decide", help="run the exact criterion (or the generic semi-decision)")
-    p.add_argument("--delta", required=True, help='coordinates "a,b" or "a+b*sqrt(d)"')
-    p.add_argument("--d", type=int, default=DEFAULT_D, help="ring parameter (default -14)")
-    p.add_argument("--bound", type=int, default=50, help="witness search bound")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_decide)
+    if command in (None, "decide"):
+        p = sub.add_parser("decide", help="run the exact criterion (or the generic semi-decision)")
+        p.add_argument("--delta", required=True, help='coordinates "a,b" or "a+b*sqrt(d)"')
+        p.add_argument("--d", type=int, default=DEFAULT_D, help="ring parameter (default -14)")
+        p.add_argument("--bound", type=int, default=50, help="witness search bound")
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=_cmd_decide)
 
-    p = sub.add_parser("local", help="local solvability verdicts")
-    p.add_argument("--delta", required=True)
-    p.add_argument("--d", type=int, default=DEFAULT_D)
-    p.add_argument("--prime", type=int, default=None, help="single place (default: all relevant)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_local)
+    if command in (None, "local"):
+        p = sub.add_parser("local", help="local solvability verdicts")
+        p.add_argument("--delta", required=True)
+        p.add_argument("--d", type=int, default=DEFAULT_D)
+        p.add_argument("--prime", type=int, default=None, help="single place (default: all relevant)")
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=_cmd_local)
 
-    p = sub.add_parser("search", help="bounded exhaustive representation search")
-    p.add_argument("--delta", required=True)
-    p.add_argument("--d", type=int, default=DEFAULT_D)
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_search)
+    if command in (None, "search"):
+        p = sub.add_parser("search", help="bounded exhaustive representation search")
+        p.add_argument("--delta", required=True)
+        p.add_argument("--d", type=int, default=DEFAULT_D)
+        p.add_argument("--bound", type=int, required=True)
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=_cmd_search)
 
-    p = sub.add_parser("hunt", help="sweep a box for local-global counterexamples")
-    p.add_argument("--box", type=int, required=True)
-    p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--workers", type=int, default=None, help=f"default ${WORKERS_ENV} or 1")
-    p.add_argument("--out", default=None, help="write JSON lines here instead of stdout")
-    p.set_defaults(func=_cmd_hunt)
+    if command in (None, "hunt"):
+        p = sub.add_parser("hunt", help="sweep a box for local-global counterexamples")
+        p.add_argument("--box", type=int, required=True)
+        p.add_argument("--bound", type=int, required=True)
+        p.add_argument("--workers", type=int, default=None, help=f"default ${WORKERS_ENV} or 1")
+        p.add_argument("--out", default=None, help="write JSON lines here instead of stdout")
+        p.set_defaults(func=_cmd_hunt)
 
-    p = sub.add_parser("classical", help="verify the rational baseline against search")
-    p.add_argument("--max", type=int, required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_classical)
+    if command in (None, "classical"):
+        p = sub.add_parser("classical", help="verify the rational baseline against search")
+        p.add_argument("--max", type=int, required=True)
+        p.add_argument("--json", action="store_true")
+        p.set_defaults(func=_cmd_classical)
 
     return parser
 
@@ -278,7 +289,7 @@ def run(argv: list[str] | None = None) -> int:
         except (ParameterError, UnsupportedInputError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    parser = _build_parser()
+    parser = _build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -122,7 +122,7 @@ def _compose_two_squares(x1: int, y1: int, x2: int, y2: int) -> tuple[int, int]:
 def _prime_two_squares(p: int) -> tuple[int, int]:
     # p = 1 (mod 4): descend the Euclidean remainders of (p, sqrt(-1) mod p)
     # below sqrt(p); the first one is a leg of the representation
-    r = numth.sqrt_mod_prime(p - 1, p)
+    r = numth._sqrt_mod_prime(p - 1, p)
     prev, cur = p, r
     while cur * cur > p:
         prev, cur = cur, prev % cur

@@ -53,7 +53,7 @@ class LocalVerdict:
 @lru_cache(maxsize=1024)
 def _lift_sqrt(a: int, p: int, k: int) -> int:
     """The Hensel lift r mod p^k of the smaller square root of a mod p."""
-    r = numth.sqrt_mod_prime(a % p, p)
+    r = numth._sqrt_mod_prime(a % p, p)
     modulus = p
     for _ in range(k - 1):
         nxt = modulus * p
@@ -124,7 +124,7 @@ def _odd_verdict(delta: QuadInt, p: int, place: Place, vals: list[int]) -> Local
         if p % 4 == 1:
             i0, i1 = _lift_sqrt(-1, p, level), 0
         else:  # inert, p = 3 mod 4: -d is a square s^2 and i = sqrt(d)/s
-            i0, i1 = 0, pow(numth.sqrt_mod_prime(-d % p, p), -1, p)
+            i0, i1 = 0, pow(numth._sqrt_mod_prime(-d % p, p), -1, p)
         h = pow(2, -1, m)
         x = ((a + 1) * h % m, b * h % m)
         y = (((1 - a) * i0 - d * b * i1) * h % m, ((1 - a) * i1 - b * i0) * h % m)

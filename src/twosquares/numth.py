@@ -3,10 +3,9 @@ modular square roots, and Hilbert symbols over the completions of Q."""
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from fractions import Fraction
 from itertools import compress
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 from .errors import FactorizationError, ParameterError
 
@@ -19,11 +18,18 @@ _MR_BOUND = 3_317_044_064_679_887_385_961_981
 _TRIAL_BOUND = 1_000_000
 _RHO_BUDGET = 1 << 21
 
+# Trial division runs over blocks [k*_BLOCK, (k+1)*_BLOCK) of the integers,
+# as gcds with the product of each block's odd primes; _BLOCKS of them cover
+# [0, _TRIAL_BOUND].  The products are made on first need and kept, ~200 KB
+# for all of them.  The tuple is only ever rebound whole, never appended to,
+# so a thread that extends it never exposes a half-built one.
+_BLOCK = 2048
+_BLOCKS = _TRIAL_BOUND // _BLOCK + 1
+_block_products: tuple[int, ...] = ()
 
-def _odd_primes(limit: int) -> Iterator[int]:
-    # Odd primes p <= limit, from a sieve whose entry i stands for 2*i + 1.
-    # Built per call and sized to the caller's limit, so no 10^6 table
-    # (~0.5 MB) stays in memory between calls.
+
+def _odd_prime_flags(limit: int) -> bytearray:
+    # Sieve of the odd numbers up to limit: entry i is 1 iff 2*i + 1 is prime.
     size = (limit + 1) // 2
     flags = bytearray([1]) * size
     if size:
@@ -32,10 +38,10 @@ def _odd_primes(limit: int) -> Iterator[int]:
         if flags[i]:
             p = 2 * i + 1
             flags[p * p // 2 :: p] = bytes(len(range(p * p // 2, size, p)))
-    return compress(range(1, 2 * size, 2), flags)
+    return flags
 
 
-_SMALL_PRIMES = (2, *_odd_primes(311))  # the first 64 primes
+_SMALL_PRIMES = (2, *compress(range(1, 312, 2), _odd_prime_flags(311)))  # the first 64 primes
 
 
 def _strong_lucas_probable_prime(n: int) -> bool:
@@ -136,12 +142,32 @@ def _split_composite(n: int) -> int:
     raise FactorizationError(f"could not factor {n} within effort budget")
 
 
+def _blocks_through(k: int) -> tuple[int, ...]:
+    # The block products, made at least through block k: the count doubles
+    # with each extension, and the sieve goes once the new blocks are made.
+    global _block_products
+    blocks = _block_products
+    if k < len(blocks):
+        return blocks
+    have, top = len(blocks), min(max(k + 1, 2 * len(blocks)), _BLOCKS)
+    flags = _odd_prime_flags(top * _BLOCK - 1)
+    half = _BLOCK // 2
+    blocks += tuple(
+        prod(compress(range(lo + 1, lo + _BLOCK, 2), flags[lo // 2 : lo // 2 + half]))
+        for lo in range(have * _BLOCK, top * _BLOCK, _BLOCK)
+    )
+    _block_products = blocks
+    return blocks
+
+
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 as a sorted list of (p, e) pairs.
 
-    After the 2s, trial division by the odd primes up to 10^6, which stops
-    at the first cofactor that is 1 or passes `is_prime`; Brent rho splits
-    a composite cofactor left at the trial bound.
+    After the 2s, trial division up to 10^6 by gcds of n with the product
+    of the odd primes of each 2048-wide block, in ascending order; a block
+    whose gcd exceeds 1 is split by trial division.  It stops at the first
+    cofactor that is 1 or passes `is_prime`, and Brent rho splits a
+    composite cofactor left after the last block.
     """
     if not isinstance(n, int) or n < 1:
         raise ParameterError(f"factorize expects a positive integer, got {n}")
@@ -152,15 +178,30 @@ def factorize(n: int) -> list[tuple[int, int]]:
         n >>= twos
     composite = n > 1 and not is_prime(n)
     if composite:
-        for p in _odd_primes(min(_TRIAL_BOUND, isqrt(n))):
-            if p * p > n:
-                composite = False
+        blocks = _block_products
+        for k in range(_BLOCKS):
+            lo = k * _BLOCK
+            if lo * lo > n:
+                composite = False  # every prime below lo is divided out
                 break
-            if n % p:
+            if k == len(blocks):
+                blocks = _blocks_through(k)
+            g = gcd(n, blocks[k])
+            if g == 1:
                 continue
-            while n % p == 0:
-                exps[p] = exps.get(p, 0) + 1
-                n //= p
+            # g is the product of the primes of this block that divide n
+            p = max(lo + 1, 3)
+            while g > 1:
+                if p * p > g:
+                    p = g
+                if g % p == 0:
+                    g //= p
+                    e = 0
+                    while n % p == 0:
+                        n //= p
+                        e += 1
+                    exps[p] = e
+                p += 2
             composite = n > 1 and not is_prime(n)
             if not composite:
                 break
@@ -248,6 +289,12 @@ def sqrt_mod_prime(a: int, p: int) -> int:
     """
     if legendre(a, p) != 1:
         raise ParameterError(f"{a} is not a nonzero square mod {p}")
+    return _sqrt_mod_prime(a, p)
+
+
+def _sqrt_mod_prime(a: int, p: int) -> int:
+    # sqrt_mod_prime without its checks, for an odd prime p and a nonzero
+    # square a mod p that the caller already holds as such.
     a %= p
     if p % 4 == 3:
         r = pow(a, (p + 1) // 4, p)
@@ -256,7 +303,7 @@ def sqrt_mod_prime(a: int, p: int) -> int:
     while q % 2 == 0:
         q //= 2
         s += 1
-    # p is prime (checked above), so Euler's criterion finds the nonresidue
+    # p is prime, so Euler's criterion finds the nonresidue
     z = 2
     while pow(z, (p - 1) // 2, p) != p - 1:
         z += 1

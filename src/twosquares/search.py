@@ -14,9 +14,9 @@ from math import isqrt
 from .errors import ParameterError, ResourceLimitError
 from .ring import QuadInt
 
-SQUARE_TABLE_CACHE_SIZE = 4
-# The table of squares holds (2*bound + 1)^2 entries at ~250 bytes each:
-# ~10 MB at bound 100, ~107 MB at this cap.
+# Each u of a scan ANDs one (2*bound + 1)-bit row per modulus, and the
+# _mask_rows cache holds up to 1024 such row tuples: this cap bounds both
+# that memory and the time of one scan.
 MAX_SEARCH_BOUND = 300
 
 # If y^2 = delta - x^2 then delta - x^2 is a square mod every m, so the scan
@@ -36,16 +36,26 @@ class SearchReport:
     states_examined: int
 
 
-@lru_cache(maxsize=SQUARE_TABLE_CACHE_SIZE)
-def _squares_by_value(d: int, bound: int) -> dict[tuple[int, int], tuple[tuple[int, int], ...]]:
-    # coordinates of z^2 for every z = s + t*sqrt(d) with |s|, |t| <= bound,
-    # keyed by value; root lists are in ascending (s, t) order
-    table: dict[tuple[int, int], list[tuple[int, int]]] = {}
-    for s in range(-bound, bound + 1):
-        ss = s * s
-        for t in range(-bound, bound + 1):
-            table.setdefault((ss + d * t * t, 2 * s * t), []).append((s, t))
-    return {key: tuple(roots) for key, roots in table.items()}
+def _square_root(a: int, b: int, r: int, d: int, bound: int) -> tuple[int, int] | None:
+    # The first z = s + t*sqrt(d) in (s, t) order with z^2 = w = a + b*sqrt(d)
+    # and |s|, |t| <= bound, or None, for w of norm r^2 (r >= 0): a square
+    # has N(w) = (s^2 - d*t^2)^2, so s^2 = (a +- r)/2 and t^2 = (a -+ r)/(2d),
+    # and the sign of s^2 - d*t^2 is + for d < 0.  Z[sqrt(d)] is a domain, so
+    # the roots are z and -z, and the first has s < 0, or s = 0 and t <= 0.
+    for r in (r, -r) if d > 0 and r else (r,):
+        ss, odd = divmod(a + r, 2)
+        tt, rest = divmod(a - r, 2 * d)
+        if odd or rest or ss < 0 or tt < 0:
+            continue
+        s, t = isqrt(ss), isqrt(tt)
+        if s * s != ss or t * t != tt:
+            continue
+        if s > bound or t > bound:
+            return None
+        if s == 0:
+            return 0, -t
+        return -s, -t if b > 0 else t
+    return None
 
 
 @lru_cache(maxsize=32)
@@ -111,9 +121,11 @@ def find_representation(delta: QuadInt, bound: int) -> SearchReport:
     With (u, v, s, t) a witness so is (-u, -v, s, t), so that witness has
     x.a <= 0 and only u <= 0 is scanned, in (u, v) order; an x = u + v*sqrt(d)
     with delta - x^2 not a square mod some m in MASK_MODULI is skipped, as it
-    holds no witness.  `states_examined` is the position of the witness's x
-    in the scan of every (u, v) of the box, skipped ones included, and a miss
-    reports the whole box, (2*bound + 1)^2.  An odd b coordinate is rejected
+    holds no witness.  For each x left, y is the first square root of
+    delta - x^2 in (s, t) order, found exactly from its norm.
+    `states_examined` is the position of the witness's x in the scan of
+    every (u, v) of the box, skipped ones included, and a miss reports the
+    whole box, (2*bound + 1)^2.  An odd b coordinate is rejected
     outright (0 states): the sqrt(d) coordinate of x^2 + y^2 is 2(uv + st),
     always even.  For d < 0 a norm above (2(1 - d)*bound^2)^2 is a miss
     without a scan: every coordinate-bounded x has |x|^2 = u^2 - d*v^2 <=
@@ -133,7 +145,6 @@ def find_representation(delta: QuadInt, bound: int) -> SearchReport:
         return SearchReport(delta, bound, None, width * width)
     if bound > MAX_SEARCH_BOUND:
         raise ResourceLimitError(f"search bound {bound} exceeds {MAX_SEARCH_BOUND}")
-    table = _squares_by_value(d, bound)
     a, b = delta.a, delta.b
     masks = [(m, _mask_rows(d, m, a % m, b % m, bound)) for m in MASK_MODULI]
     for u in range(-bound, 1):
@@ -144,9 +155,12 @@ def find_representation(delta: QuadInt, bound: int) -> SearchReport:
         while live:
             low = live & -live
             v = low.bit_length() - 1 - bound
-            roots = table.get((a - uu - d * v * v, b - 2 * u * v))
-            if roots:
-                s, t = roots[0]
+            w, z = a - uu - d * v * v, b - 2 * u * v
+            # a square's norm is a square; this test alone turns away most x
+            n = w * w - d * z * z
+            r = isqrt(n) if n >= 0 else -1
+            if r * r == n and (root := _square_root(w, z, r, d, bound)) is not None:
+                s, t = root
                 witness = (QuadInt(u, v, d), QuadInt(s, t, d))
                 return SearchReport(delta, bound, witness, (u + bound) * width + v + bound + 1)
             live ^= low

@@ -7,7 +7,7 @@ import sys
 import time
 
 from twosquares import search
-from twosquares.cli import canonical_json, decision_jsonable, run
+from twosquares.cli import COMMANDS, _build_parser, canonical_json, decision_jsonable, run
 from twosquares.criterion import decide_qsqrt_m14
 from twosquares.ring import QuadInt
 
@@ -113,11 +113,49 @@ def test_search_bound_over_the_cap_exits_3(monkeypatch, capsys):
     assert run(["search", "--delta=-1,0", "--bound", "100"]) == 0  # the hunt's bound
     capsys.readouterr()
     built = []
-    monkeypatch.setattr(search, "_squares_by_value", lambda *key: built.append(key))
+    monkeypatch.setattr(search, "_mask_rows", lambda *key: built.append(key))
     assert run(["search", "--delta=-1,0", "--bound", "100000"]) == 3
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
     assert captured.out == "" and built == []
+
+
+def _outcome(capsys, parse, argv):
+    try:
+        code = parse(argv)
+    except SystemExit as exc:
+        code = int(exc.code or 0)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_one_subcommand_parser_matches_the_full_one(capsys):
+    # run builds only the named subcommand; every subcommand's help and usage
+    # errors must read as they do from the parser with all of them
+    def full(argv):
+        _build_parser().parse_args(argv)
+        return 0
+
+    errors = {
+        "decide": "the following arguments are required: --delta",
+        "local": "the following arguments are required: --delta",
+        "search": "the following arguments are required: --delta, --bound",
+        "hunt": "the following arguments are required: --box, --bound",
+        "classical": "the following arguments are required: --max",
+    }
+    assert set(errors) == set(COMMANDS)
+    assert _outcome(capsys, run, ["--help"]) == _outcome(capsys, full, ["--help"])
+    for cmd, message in errors.items():
+        for argv in ([cmd, "--help"], [cmd]):
+            assert _outcome(capsys, run, argv) == _outcome(capsys, full, argv), argv
+        code, out, err = _outcome(capsys, run, [cmd])
+        assert (code, out) == (2, "") and err.endswith(f"twosquares {cmd}: error: {message}\n")
+    assert _outcome(capsys, run, ["decide", "--delta=1,0", "--foo"]) == (
+        2,
+        "",
+        "usage: twosquares [-h] {decide,local,search,hunt,classical} ...\n"
+        "twosquares: error: unrecognized arguments: --foo\n",
+    )
 
 
 def test_decide_high_powers_of_two(capsys):

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from oracles import _descend, _is_smooth, brute_ring_classes, cutoff_depth, solvable_mod
+from twosquares import criterion, localsolve, numth
 from twosquares.errors import ParameterError, ResourceLimitError
 from twosquares.localsolve import (
     ModularSolution,
@@ -13,7 +14,7 @@ from twosquares.localsolve import (
     locally_solvable_everywhere,
     relevant_primes,
 )
-from twosquares.ring import QuadInt, Splitting, split_type
+from twosquares.ring import Place, QuadInt, Splitting, split_type
 
 TEST_PRIMES = (2, 3, 5, 7, 13)
 
@@ -179,6 +180,23 @@ def test_large_odd_ramified_place():
     _check_congruences(delta, verdict.certificate, 1511)
     sol = (*verdict.certificate.x, *verdict.certificate.y)
     assert _is_smooth(sol, 2, 1511, -3022, Splitting.RAMIFIED)
+
+
+def test_square_roots_do_not_reprove_primes(monkeypatch):
+    # the primes come from factorize; their square roots test none again
+    calls = []
+    is_prime = numth.is_prime
+    monkeypatch.setattr(numth, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    split, inert = 1000033, 1000003  # 1 and 3 mod 4; -14 is a nonsquare mod 1000003
+    r = localsolve._lift_sqrt.__wrapped__(-1, split, 3)
+    assert (r * r + 1) % split**3 == 0
+    delta = QuadInt(inert, 0)
+    verdict = localsolve._odd_verdict(delta, inert, Place(inert, Splitting.INERT), [1])
+    assert verdict.solvable
+    _check_congruences(delta, verdict.certificate, inert)
+    x, y = criterion._prime_two_squares(split)
+    assert x * x + y * y == split
+    assert calls == []
 
 
 def test_verdict_stability_and_monotonicity_small_box():

@@ -1,8 +1,10 @@
 """Rational integer kernels: primality, factorization, residue symbols."""
 
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
@@ -71,6 +73,16 @@ def test_factorize_trial_division_edges():
     assert numth.is_prime(big)
     expected = [(2, 3), (3, 1), (997, 2), (999979, 1), (big, 1)]
     assert numth.factorize(2**3 * 3 * 997**2 * 999979 * big) == expected
+    # primes on each side of the 2048-wide block edges, the last and the
+    # first odd number of a block, the last block, and several primes of one
+    # block, alone and times big
+    assert brute_factorize(big) == [(big, 1)]
+    edges = (2039, 2053, 4093, 4099, 8191, 12289, 999983, 1000003)
+    shared = (3 * 5 * 7 * 11 * 13, 2053 * 2063, 2053**2 * 2063, 2053**3, 8191**2, 12289**2)
+    for n in edges + shared:
+        assert numth.factorize(n) == brute_factorize(n), n
+        # n and big are coprime, so the oracle's answer for n extends to n * big
+        assert numth.factorize(n * big) == brute_factorize(n) + [(big, 1)], n
 
 
 # psi_12 and psi_13: the least strong pseudoprimes to the first 12 and the
@@ -108,21 +120,29 @@ def test_strong_lucas_pseudoprimes_below_2e5():
 
 
 def test_factorize_stops_at_prime_cofactor(monkeypatch):
-    drawn = []
-    odd_primes = numth._odd_primes
+    taken = []
 
-    def counting(limit):
-        for p in odd_primes(limit):
-            drawn.append(p)
-            yield p
+    def counting(a, b):
+        taken.append(b)
+        return gcd(a, b)
 
-    monkeypatch.setattr(numth, "_odd_primes", counting)
+    monkeypatch.setattr(numth, "_block_products", ())
+    monkeypatch.setattr(numth, "gcd", counting)
     big = 10**12 + 39
     assert numth.factorize(3 * 5 * big) == [(3, 1), (5, 1), (big, 1)]
-    assert len(drawn) <= 5, drawn
-    drawn.clear()
+    assert len(taken) == 1 and len(numth._block_products) == 1
+    taken.clear()
     assert numth.factorize(2**7 * big) == [(2, 7), (big, 1)]
-    assert drawn == []
+    assert taken == []
+
+
+def test_factorize_does_not_depend_on_cache_order(monkeypatch):
+    small, large = 3 * 5 * 2053, 1000003**2 * (10**12 + 39)
+    full = numth._blocks_through(numth._BLOCKS - 1)
+    expected = [numth.factorize(small), numth.factorize(large)]
+    monkeypatch.setattr(numth, "_block_products", ())
+    assert [numth.factorize(small), numth.factorize(large)] == expected
+    assert numth._block_products == full
 
 
 def test_factorize_vs_oracle_seeded():
@@ -135,6 +155,27 @@ def test_factorize_vs_oracle_seeded():
         cases.append(smooth * rng.choice((10007, 999983, 1000003, 99999989)))
     for n in cases:
         assert numth.factorize(n) == brute_factorize(n), n
+
+
+def test_block_cache_survives_concurrent_extension(monkeypatch):
+    # threads that extend the block products at once must leave a cache
+    # equal to one built alone, and factor correctly meanwhile
+    full = numth._blocks_through(numth._BLOCKS - 1)
+    big = 10**12 + 39
+    cases = [p * big for p in (2053, 65537, 999983, 1000003)]
+    expected = [numth.factorize(n) for n in cases]
+    switch = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for _ in range(3):
+            monkeypatch.setattr(numth, "_block_products", ())
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(numth.factorize, n) for n in cases * 3]
+                results = [f.result(timeout=60) for f in futures]
+            assert results == expected * 3
+            assert numth._blocks_through(numth._BLOCKS - 1) == full
+    finally:
+        sys.setswitchinterval(switch)
 
 
 def test_factorize_rejects_nonpositive():

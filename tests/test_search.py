@@ -106,12 +106,13 @@ def test_norm_bound_misses_without_a_scan(monkeypatch):
         x, y = QuadInt(u, v, d), QuadInt(s, t, d)
         assert (x * x + y * y).norm() <= limit
     built = []
-    squares = search._squares_by_value
-    monkeypatch.setattr(search, "_squares_by_value", lambda *key: built.append(key) or squares(*key))
+    rows = search._mask_rows
+    monkeypatch.setattr(search, "_mask_rows", lambda *key: built.append(key) or rows(*key))
     at_limit, above = QuadInt(270, 0, d), QuadInt(271, 0, d)
     assert at_limit.norm() == limit < above.norm()
     r = find_representation(at_limit, bound)
-    assert (r.witness, r.states_examined, built) == (None, 49, [(d, bound)])
+    assert (r.witness, r.states_examined) == (None, 49)
+    assert built == [(d, m, 270 % m, 0, bound) for m in search.MASK_MODULI]
     built.clear()
     r = find_representation(above, bound)
     assert (r.witness, r.states_examined, built) == (None, 49, [])
