@@ -12,6 +12,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from functools import lru_cache
 
 from . import hunt as hunt_mod
 from . import numth
@@ -227,9 +228,11 @@ def _run_symbols(argv: list[str]) -> int:
     return 0
 
 
+@lru_cache(maxsize=None)  # one key per name in COMMANDS, plus None
 def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser with every subcommand, or, for a name in COMMANDS, with
-    that subcommand alone, which is much cheaper to build."""
+    that subcommand alone, which is much cheaper to build.  Each is built
+    once per process: parsing leaves a parser as it found it."""
     parser = argparse.ArgumentParser(
         prog="twosquares",
         description="Decide sums of two squares over Z[sqrt(-14)] and related rings.",

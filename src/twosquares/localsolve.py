@@ -12,7 +12,7 @@ from itertools import product
 
 from . import numth
 from .errors import ParameterError
-from .ring import Place, QuadInt, Splitting, split_type
+from .ring import Place, QuadInt, Splitting, _split_type, split_type
 
 
 @dataclass(frozen=True)
@@ -224,16 +224,21 @@ def _two_adic_verdict(delta: QuadInt, place: Place, v: int) -> LocalVerdict:
     return LocalVerdict(place, False, None, k)
 
 
+def _finite_verdict(delta: QuadInt, place: Place) -> LocalVerdict:
+    # the verdict at a finite place whose prime and splitting the caller holds
+    p = place.prime
+    vals = _place_valuations(delta, p, place.splitting)
+    if p == 2:
+        return _two_adic_verdict(delta, place, vals[0])
+    return _odd_verdict(delta, p, place, vals)
+
+
 def locally_solvable(delta: QuadInt, p: int) -> LocalVerdict:
     """Decide solvability of x^2 + y^2 = delta over both completions of
     Z[sqrt(d)] above p, in closed form."""
     if delta.is_zero():
         raise ParameterError("delta must be nonzero")
-    place = Place(p, split_type(p, delta.d))
-    vals = _place_valuations(delta, p, place.splitting)
-    if p == 2:
-        return _two_adic_verdict(delta, place, vals[0])
-    return _odd_verdict(delta, p, place, vals)
+    return _finite_verdict(delta, Place(p, split_type(p, delta.d)))
 
 
 def _embedding_nonneg(a: int, b: int, d: int) -> bool:
@@ -264,11 +269,14 @@ def locally_solvable_everywhere(
     dividing N(delta).
 
     primes, if given, is that sorted prime list from a factorization the
-    caller already holds; by default it is relevant_primes(delta).
+    caller already holds; by default it is relevant_primes(delta).  Its
+    entries are taken as primes and not tested again.
     """
+    if delta.is_zero():
+        raise ParameterError("delta must be nonzero")
     if primes is None:
         primes = relevant_primes(delta)
     verdicts = [_archimedean_verdict(delta)]
     for p in primes:
-        verdicts.append(locally_solvable(delta, p))
+        verdicts.append(_finite_verdict(delta, Place(p, _split_type(p, delta.d))))
     return all(v.solvable for v in verdicts), verdicts

@@ -15,13 +15,15 @@ from .errors import FactorizationError, ParameterError
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_BOUND = 3_317_044_064_679_887_385_961_981
 
-_TRIAL_BOUND = 1_000_000
+_TRIAL_BOUND = 1 << 16
 _RHO_BUDGET = 1 << 21
 
 # Trial division runs over blocks [k*_BLOCK, (k+1)*_BLOCK) of the integers,
-# as gcds with the product of each block's odd primes; _BLOCKS of them cover
-# [0, _TRIAL_BOUND].  The products are made on first need and kept, ~200 KB
-# for all of them.  The tuple is only ever rebound whole, never appended to,
+# as gcds with the product of each block's odd primes; _BLOCKS = 33 of them
+# cover [0, _TRIAL_BOUND].  The products are made on first need and kept,
+# ~13 KB for all of them.  Past the last block Brent rho takes over: it finds
+# a prime p in about sqrt(p) steps, no dearer than a block walk to 10^6, and
+# needs no table.  The tuple is only ever rebound whole, never appended to,
 # so a thread that extends it never exposes a half-built one.
 _BLOCK = 2048
 _BLOCKS = _TRIAL_BOUND // _BLOCK + 1
@@ -163,11 +165,12 @@ def _blocks_through(k: int) -> tuple[int, ...]:
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 as a sorted list of (p, e) pairs.
 
-    After the 2s, trial division up to 10^6 by gcds of n with the product
-    of the odd primes of each 2048-wide block, in ascending order; a block
-    whose gcd exceeds 1 is split by trial division.  It stops at the first
-    cofactor that is 1 or passes `is_prime`, and Brent rho splits a
-    composite cofactor left after the last block.
+    After the 2s, trial division up to 2^16 by gcds of n with the product
+    of the odd primes of each of up to 33 2048-wide blocks, in ascending
+    order; a block whose gcd exceeds 1 is split by trial division.  It stops
+    at the first cofactor that is 1 or passes `is_prime`.  Brent rho splits
+    a composite cofactor left after the last block, and each prime it finds
+    is divided out of every cofactor still to be split.
     """
     if not isinstance(n, int) or n < 1:
         raise ParameterError(f"factorize expects a positive integer, got {n}")
@@ -214,12 +217,18 @@ def factorize(n: int) -> list[tuple[int, int]]:
         m = stack.pop()
         if m == 1:
             continue
-        if is_prime(m):
-            exps[m] = exps.get(m, 0) + 1
+        if not is_prime(m):
+            f = _split_composite(m)
+            stack += sorted((f, m // f), reverse=True)  # the smaller part first
             continue
-        f = _split_composite(m)
-        stack.append(f)
-        stack.append(m // f)
+        # every copy of m goes now, so no later split meets it again
+        e = 1
+        for i, r in enumerate(stack):
+            while r % m == 0:
+                r //= m
+                e += 1
+            stack[i] = r
+        exps[m] = e
     return sorted(exps.items())
 
 

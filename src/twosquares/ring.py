@@ -105,6 +105,12 @@ def split_type(p: int, d: int = DEFAULT_D) -> Splitting:
     _validate_ring_parameter(d)
     if not numth.is_prime(p):
         raise ParameterError(f"split_type requires a prime, got {p}")
+    return _split_type(p, d)
+
+
+def _split_type(p: int, d: int) -> Splitting:
+    # split_type without its checks, for a prime p the caller already holds
+    # as such and a valid d
     if (2 * d) % p == 0:
         return Splitting.RAMIFIED
     return Splitting.SPLIT if numth._euler_criterion(d, p) else Splitting.INERT

@@ -222,6 +222,36 @@ def test_symbols_errors(capsys):
     capsys.readouterr()
 
 
+def test_cached_parsers_keep_no_state(capsys):
+    # run keeps each parser for the life of the process: a sequence of calls
+    # in one process must read as each call does in a fresh one
+    sequence = [
+        ["decide", "--delta=1,0", "--bogus"],
+        ["decide", "--delta=-13,2", "--json"],
+        ["decide", "--d=-5", "--delta=3,1", "--json"],
+        ["decide", "--delta=89,0", "--bound=7", "--json"],
+        ["decide", "--delta=89,0", "--json"],  # the witness of bound 50 is larger
+    ]
+    in_process = [_outcome(capsys, run, argv) for argv in sequence]
+    assert [code for code, _, _ in in_process] == [2, 0, 1, 0, 0]
+    assert in_process[3] != in_process[4]
+    for argv, outcome in zip(sequence, in_process):
+        proc = _fresh_process(argv)
+        assert (proc.returncode, proc.stdout, proc.stderr) == outcome, argv
+    # and every help text is what a parser built afresh prints
+    uncached = _build_parser.__wrapped__
+    for argv in [["--help"]] + [[cmd, "--help"] for cmd in COMMANDS]:
+        command = argv[0] if argv[0] in COMMANDS else None
+
+        def fresh(argv):
+            uncached(command).parse_args(argv)
+            return 0
+
+        expected = _outcome(capsys, fresh, argv)
+        assert _outcome(capsys, run, argv) == expected, argv
+        assert _outcome(capsys, run, argv) == expected, argv
+
+
 def test_bad_subcommand_exits_2(capsys):
     assert run(["nope"]) == 2
     assert run([]) == 2
@@ -235,17 +265,18 @@ def test_json_output_is_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
-def test_python_dash_m_entry_point():
+def _fresh_process(argv: list[str]) -> subprocess.CompletedProcess:
+    # `python -m twosquares argv` in a new interpreter, on this checkout's src
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.run(
-        [sys.executable, "-m", "twosquares", "decide", "--delta=-13,2", "--json"],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
+    return subprocess.run(
+        [sys.executable, "-m", "twosquares", *argv], capture_output=True, text=True, env=env, timeout=60
     )
+
+
+def test_python_dash_m_entry_point():
+    proc = _fresh_process(["decide", "--delta=-13,2", "--json"])
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc == decision_jsonable(QuadInt(-13, 2), decide_qsqrt_m14(QuadInt(-13, 2)))

@@ -199,6 +199,38 @@ def test_square_roots_do_not_reprove_primes(monkeypatch):
     assert calls == []
 
 
+def test_everywhere_does_not_reprove_primes(monkeypatch):
+    # the primes come from a factorization: their splittings are read off
+    # without testing them again, and each verdict is the public one's
+    deltas = [QuadInt(a, b) for a in range(-12, 13) for b in range(-12, 13) if a or b]
+    deltas += [
+        QuadInt(10**12 + 39, 5),
+        QuadInt(999983 * 1000003, 2),
+        QuadInt(3**70, 0),
+        QuadInt(5**9 * 11, 7**4),
+        QuadInt(2**40 * 1000033, 0),
+        QuadInt(1511, 1, -3022),
+        QuadInt(-13, 2, -5),
+        QuadInt(7, 3, 2),
+    ]
+    cases = [(delta, relevant_primes(delta)) for delta in deltas]
+    expected = [[locally_solvable(delta, p) for p in primes] for delta, primes in cases]
+    calls = []
+    is_prime = numth.is_prime
+    monkeypatch.setattr(numth, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    for (delta, primes), want in zip(cases, expected):
+        ok, verdicts = locally_solvable_everywhere(delta, primes)
+        assert verdicts[1:] == want, delta
+        assert ok == all(v.solvable for v in verdicts)
+    assert calls == []
+    monkeypatch.undo()
+    for p in (1, 6, 9):
+        with pytest.raises(ParameterError):
+            locally_solvable(QuadInt(6, 1), p)
+    with pytest.raises(ParameterError):
+        locally_solvable_everywhere(QuadInt(0, 0), [2])
+
+
 def test_verdict_stability_and_monotonicity_small_box():
     for a in range(-4, 5):
         for b in range(-4, 5):

@@ -63,12 +63,12 @@ def test_factorize_reconstructs_and_certifies():
 
 
 def test_factorize_trial_division_edges():
-    # primes on both sides of 10^4, the largest prime square below the
-    # trial bound 10^6, and a factor on each side of that bound
+    # primes on both sides of 10^4, the largest prime square below 10^6,
+    # and a factor on each side of 10^6 (past the trial bound 2^16, so rho)
     for n in (9973 * 10007, 10007**3, 999983**2, 999983 * 1000003, 2**5 * 3):
         assert numth.factorize(n) == brute_factorize(n), n
     assert numth.factorize(2**64) == [(2, 64)]
-    # a 10^6-smooth part times a prime above 10^12
+    # a 10^6-smooth part (999979 past the trial bound) times a prime above 10^12
     big = 10**12 + 39
     assert numth.is_prime(big)
     expected = [(2, 3), (3, 1), (997, 2), (999979, 1), (big, 1)]
@@ -83,6 +83,49 @@ def test_factorize_trial_division_edges():
         assert numth.factorize(n) == brute_factorize(n), n
         # n and big are coprime, so the oracle's answer for n extends to n * big
         assert numth.factorize(n * big) == brute_factorize(n) + [(big, 1)], n
+
+
+def test_factorize_across_the_trial_bound_and_10_6(monkeypatch):
+    # primes on each side of the trial bound 2^16 and of 10^6, in products
+    # that trial division, rho, or both must split; the block cache never
+    # grows past the trial bound
+    assert numth._BLOCKS == 33 and numth._TRIAL_BOUND == 1 << 16
+    primes = (65521, 65537, 999983, 1000003)
+    big = 10**12 + 39
+    assert all(numth.is_prime(p) for p in (*primes, big))
+
+    def expect(n, factors):
+        assert numth.factorize(n) == factors, n
+        assert len(numth._block_products) <= numth._BLOCKS
+        if n <= 10**10:
+            assert factors == brute_factorize(n), n
+
+    monkeypatch.setattr(numth, "_block_products", ())
+    for p in primes:
+        expect(p, [(p, 1)])
+        expect(p * p, [(p, 2)])
+        expect(p**3 * big, [(p, 3), (big, 1)])
+        for q in primes:
+            if p < q:
+                expect(p * q, [(p, 1), (q, 1)])
+                expect(p**2 * q**3 * big, [(p, 2), (q, 3), (big, 1)])
+    for smooth in (2**3 * 3 * 65521, 5 * 7**2 * 65537, 11 * 999983, 3**4 * 65521 * 65537):
+        expect(smooth, brute_factorize(smooth))
+        expect(smooth * big, brute_factorize(smooth) + [(big, 1)])
+        expect(smooth * 1000003 * big, brute_factorize(smooth * 1000003) + [(big, 1)])
+
+
+def test_rho_divides_out_each_prime_it_finds(monkeypatch):
+    # p^3 * P with p past the trial bound takes one rho split: the prime p it
+    # finds leaves p^2 * P at once, instead of being split off copy by copy
+    splits = []
+    split = numth._split_composite
+    monkeypatch.setattr(numth, "_split_composite", lambda m: splits.append(m) or split(m))
+    big = 10**12 + 39
+    for p in (131071, 999983, 1000003):
+        splits.clear()
+        assert numth.factorize(p**3 * big) == [(p, 3), (big, 1)]
+        assert len(splits) == 1, p
 
 
 # psi_12 and psi_13: the least strong pseudoprimes to the first 12 and the
