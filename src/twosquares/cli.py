@@ -29,8 +29,6 @@ from .ring import DEFAULT_D, QuadInt, parse_quadint
 from .search import find_representation, verify_witness, witness_jsonable
 
 WORKERS_ENV = "TWOSQUARES_WORKERS"
-# the argparse subcommands, in the order of the usage line
-COMMANDS = ("decide", "local", "search", "hunt", "classical")
 
 
 def canonical_json(obj) -> str:
@@ -165,6 +163,13 @@ def _cmd_hunt(args) -> int:
             workers = int(raw)
         except ValueError:
             raise ParameterError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
+    if args.out is not None:
+        # a bad path fails before the sweep; "a" leaves a file that is there
+        # as it was until the sweep has succeeded
+        try:
+            open(args.out, "a", encoding="utf-8").close()
+        except OSError as exc:
+            raise ParameterError(f"cannot write --out {args.out}: {exc.strerror}") from None
     result = hunt_mod.hunt_counterexamples(args.box, args.bound, workers=workers)
     text = "".join(canonical_json(line) + "\n" for line in hunt_mod.result_lines(result))
     if args.out is not None:
@@ -216,7 +221,7 @@ def _run_symbols(argv: list[str]) -> int:
             print(numth.hilbert_symbol(a, b, place))
             return 0
         x, m = int(rest[0]), int(rest[1])
-    except ValueError as exc:
+    except (ValueError, ZeroDivisionError) as exc:  # Fraction("1/0") raises the latter
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if kind == "legendre":
@@ -228,57 +233,48 @@ def _run_symbols(argv: list[str]) -> int:
     return 0
 
 
-@lru_cache(maxsize=None)  # one key per name in COMMANDS, plus None
-def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser with every subcommand, or, for a name in COMMANDS, with
-    that subcommand alone, which is much cheaper to build.  Each is built
-    once per process: parsing leaves a parser as it found it."""
+@lru_cache(maxsize=None)
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parsing leaves it as it found it."""
     parser = argparse.ArgumentParser(
         prog="twosquares",
         description="Decide sums of two squares over Z[sqrt(-14)] and related rings.",
         epilog='Write negative coordinates with "=", e.g. --delta=-13,2.',
     )
-    # the usage line names every subcommand even when one is built
-    metavar = "{" + ",".join(COMMANDS) + "}" if command else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
 
-    if command in (None, "decide"):
-        p = sub.add_parser("decide", help="run the exact criterion (or the generic semi-decision)")
-        p.add_argument("--delta", required=True, help='coordinates "a,b" or "a+b*sqrt(d)"')
-        p.add_argument("--d", type=int, default=DEFAULT_D, help="ring parameter (default -14)")
-        p.add_argument("--bound", type=int, default=50, help="witness search bound")
-        p.add_argument("--json", action="store_true")
-        p.set_defaults(func=_cmd_decide)
+    p = sub.add_parser("decide", help="run the exact criterion (or the generic semi-decision)")
+    p.add_argument("--delta", required=True, help='coordinates "a,b" or "a+b*sqrt(d)"')
+    p.add_argument("--d", type=int, default=DEFAULT_D, help="ring parameter (default -14)")
+    p.add_argument("--bound", type=int, default=50, help="witness search bound")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=_cmd_decide)
 
-    if command in (None, "local"):
-        p = sub.add_parser("local", help="local solvability verdicts")
-        p.add_argument("--delta", required=True)
-        p.add_argument("--d", type=int, default=DEFAULT_D)
-        p.add_argument("--prime", type=int, default=None, help="single place (default: all relevant)")
-        p.add_argument("--json", action="store_true")
-        p.set_defaults(func=_cmd_local)
+    p = sub.add_parser("local", help="local solvability verdicts")
+    p.add_argument("--delta", required=True)
+    p.add_argument("--d", type=int, default=DEFAULT_D)
+    p.add_argument("--prime", type=int, default=None, help="single place (default: all relevant)")
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=_cmd_local)
 
-    if command in (None, "search"):
-        p = sub.add_parser("search", help="bounded exhaustive representation search")
-        p.add_argument("--delta", required=True)
-        p.add_argument("--d", type=int, default=DEFAULT_D)
-        p.add_argument("--bound", type=int, required=True)
-        p.add_argument("--json", action="store_true")
-        p.set_defaults(func=_cmd_search)
+    p = sub.add_parser("search", help="bounded exhaustive representation search")
+    p.add_argument("--delta", required=True)
+    p.add_argument("--d", type=int, default=DEFAULT_D)
+    p.add_argument("--bound", type=int, required=True)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=_cmd_search)
 
-    if command in (None, "hunt"):
-        p = sub.add_parser("hunt", help="sweep a box for local-global counterexamples")
-        p.add_argument("--box", type=int, required=True)
-        p.add_argument("--bound", type=int, required=True)
-        p.add_argument("--workers", type=int, default=None, help=f"default ${WORKERS_ENV} or 1")
-        p.add_argument("--out", default=None, help="write JSON lines here instead of stdout")
-        p.set_defaults(func=_cmd_hunt)
+    p = sub.add_parser("hunt", help="sweep a box for local-global counterexamples")
+    p.add_argument("--box", type=int, required=True)
+    p.add_argument("--bound", type=int, required=True)
+    p.add_argument("--workers", type=int, default=None, help=f"default ${WORKERS_ENV} or 1")
+    p.add_argument("--out", default=None, help="write JSON lines here instead of stdout")
+    p.set_defaults(func=_cmd_hunt)
 
-    if command in (None, "classical"):
-        p = sub.add_parser("classical", help="verify the rational baseline against search")
-        p.add_argument("--max", type=int, required=True)
-        p.add_argument("--json", action="store_true")
-        p.set_defaults(func=_cmd_classical)
+    p = sub.add_parser("classical", help="verify the rational baseline against search")
+    p.add_argument("--max", type=int, required=True)
+    p.add_argument("--json", action="store_true")
+    p.set_defaults(func=_cmd_classical)
 
     return parser
 
@@ -292,9 +288,8 @@ def run(argv: list[str] | None = None) -> int:
         except (ParameterError, UnsupportedInputError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
-    parser = _build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

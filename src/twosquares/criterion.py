@@ -133,7 +133,7 @@ def _prime_two_squares(p: int) -> tuple[int, int]:
     return x, y
 
 
-def decide_rational(n: int, attach_witness: bool = True) -> Decision:
+def decide_rational(n: int) -> Decision:
     """Classical two-squares decision for a positive rational integer: n is a
     sum of two squares iff every prime p = 3 (mod 4) divides n to an even
     power.  Witnesses are exact, built by composition from prime
@@ -145,24 +145,20 @@ def decide_rational(n: int, attach_witness: bool = True) -> Decision:
     if bad:
         failing = tuple(Place(p, None) for p in bad)
         return Decision(DecisionStatus.LOCAL_OBSTRUCTION, None, False, failing, Evidence())
-    witness = None
-    verified = False
-    if attach_witness:
-        x, y = 1, 0
-        for p, e in fac:
-            if p % 4 == 3:
-                scale = p ** (e // 2)
-                x, y = x * scale, y * scale
-                continue
-            base = (1, 1) if p == 2 else _prime_two_squares(p)
-            for _ in range(e):
-                x, y = _compose_two_squares(x, y, *base)
-        x, y = sorted((abs(x), abs(y)), reverse=True)
-        if x * x + y * y != n:
-            raise RuntimeError(f"{x}^2 + {y}^2 != {n}; invariant violated")
-        witness = (QuadInt(x, 0, DEFAULT_D), QuadInt(y, 0, DEFAULT_D))
-        verified = True
-    return Decision(DecisionStatus.REPRESENTABLE, witness, verified, (), Evidence())
+    x, y = 1, 0
+    for p, e in fac:
+        if p % 4 == 3:
+            scale = p ** (e // 2)
+            x, y = x * scale, y * scale
+            continue
+        base = (1, 1) if p == 2 else _prime_two_squares(p)
+        for _ in range(e):
+            x, y = _compose_two_squares(x, y, *base)
+    x, y = sorted((abs(x), abs(y)), reverse=True)
+    if x * x + y * y != n:
+        raise RuntimeError(f"{x}^2 + {y}^2 != {n}; invariant violated")
+    witness = (QuadInt(x, 0, DEFAULT_D), QuadInt(y, 0, DEFAULT_D))
+    return Decision(DecisionStatus.REPRESENTABLE, witness, True, (), Evidence())
 
 
 def decide_generic(delta: QuadInt, search_bound: int = DEFAULT_WITNESS_BOUND) -> Decision:

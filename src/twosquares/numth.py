@@ -18,17 +18,6 @@ _MR_BOUND = 3_317_044_064_679_887_385_961_981
 _TRIAL_BOUND = 1 << 16
 _RHO_BUDGET = 1 << 21
 
-# Trial division runs over blocks [k*_BLOCK, (k+1)*_BLOCK) of the integers,
-# as gcds with the product of each block's odd primes; _BLOCKS = 33 of them
-# cover [0, _TRIAL_BOUND].  The products are made on first need and kept,
-# ~13 KB for all of them.  Past the last block Brent rho takes over: it finds
-# a prime p in about sqrt(p) steps, no dearer than a block walk to 10^6, and
-# needs no table.  The tuple is only ever rebound whole, never appended to,
-# so a thread that extends it never exposes a half-built one.
-_BLOCK = 2048
-_BLOCKS = _TRIAL_BOUND // _BLOCK + 1
-_block_products: tuple[int, ...] = ()
-
 
 def _odd_prime_flags(limit: int) -> bytearray:
     # Sieve of the odd numbers up to limit: entry i is 1 iff 2*i + 1 is prime.
@@ -43,7 +32,19 @@ def _odd_prime_flags(limit: int) -> bytearray:
     return flags
 
 
-_SMALL_PRIMES = (2, *compress(range(1, 312, 2), _odd_prime_flags(311)))  # the first 64 primes
+# Trial division runs over blocks [k*_BLOCK, (k+1)*_BLOCK) of the integers,
+# as gcds with the product of each block's odd primes; the 33 blocks cover
+# [0, _TRIAL_BOUND].  The products are made once, at import (~13 KB).  Past
+# the last block Brent rho takes over: it finds a prime p in about sqrt(p)
+# steps, no dearer than a block walk to 10^6, and needs no table.
+_BLOCK = 2048
+_flags = _odd_prime_flags(_TRIAL_BOUND + _BLOCK - 1)
+_BLOCK_PRODUCTS = tuple(
+    prod(compress(range(lo + 1, lo + _BLOCK, 2), _flags[lo // 2 : (lo + _BLOCK) // 2]))
+    for lo in range(0, _TRIAL_BOUND + 1, _BLOCK)
+)
+_SMALL_PRIMES = (2, *compress(range(1, 312, 2), _flags))  # the first 64 primes
+del _flags
 
 
 def _strong_lucas_probable_prime(n: int) -> bool:
@@ -144,33 +145,15 @@ def _split_composite(n: int) -> int:
     raise FactorizationError(f"could not factor {n} within effort budget")
 
 
-def _blocks_through(k: int) -> tuple[int, ...]:
-    # The block products, made at least through block k: the count doubles
-    # with each extension, and the sieve goes once the new blocks are made.
-    global _block_products
-    blocks = _block_products
-    if k < len(blocks):
-        return blocks
-    have, top = len(blocks), min(max(k + 1, 2 * len(blocks)), _BLOCKS)
-    flags = _odd_prime_flags(top * _BLOCK - 1)
-    half = _BLOCK // 2
-    blocks += tuple(
-        prod(compress(range(lo + 1, lo + _BLOCK, 2), flags[lo // 2 : lo // 2 + half]))
-        for lo in range(have * _BLOCK, top * _BLOCK, _BLOCK)
-    )
-    _block_products = blocks
-    return blocks
-
-
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 as a sorted list of (p, e) pairs.
 
-    After the 2s, trial division up to 2^16 by gcds of n with the product
-    of the odd primes of each of up to 33 2048-wide blocks, in ascending
-    order; a block whose gcd exceeds 1 is split by trial division.  It stops
-    at the first cofactor that is 1 or passes `is_prime`.  Brent rho splits
-    a composite cofactor left after the last block, and each prime it finds
-    is divided out of every cofactor still to be split.
+    After the 2s, trial division up to 2^16 by gcds of n with the products
+    of the odd primes of the 33 2048-wide blocks, made at import, in
+    ascending order; a block whose gcd exceeds 1 is split by trial division.
+    It stops at the first cofactor that is 1 or passes `is_prime`.  Brent
+    rho splits a composite cofactor left after the last block, and each
+    prime it finds is divided out of every cofactor still to be split.
     """
     if not isinstance(n, int) or n < 1:
         raise ParameterError(f"factorize expects a positive integer, got {n}")
@@ -181,15 +164,12 @@ def factorize(n: int) -> list[tuple[int, int]]:
         n >>= twos
     composite = n > 1 and not is_prime(n)
     if composite:
-        blocks = _block_products
-        for k in range(_BLOCKS):
+        for k, block in enumerate(_BLOCK_PRODUCTS):
             lo = k * _BLOCK
             if lo * lo > n:
                 composite = False  # every prime below lo is divided out
                 break
-            if k == len(blocks):
-                blocks = _blocks_through(k)
-            g = gcd(n, blocks[k])
+            g = gcd(n, block)
             if g == 1:
                 continue
             # g is the product of the primes of this block that divide n

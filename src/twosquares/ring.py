@@ -72,25 +72,29 @@ class QuadInt:
     def __str__(self) -> str:
         return f"{self.a}{self.b:+d}*sqrt({self.d})"
 
-    def pair(self) -> str:
-        return f"{self.a},{self.b}"
-
 
 _PAIR_RE = re.compile(r"^\s*([+-]?\d+)\s*,\s*([+-]?\d+)\s*$")
 _FULL_RE = re.compile(r"^\s*([+-]?\d+)\s*([+-]\s*\d+)\s*\*\s*sqrt\(\s*(-?\d+)\s*\)\s*$")
+
+
+def _parse_int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError as exc:  # more digits than sys.get_int_max_str_digits()
+        raise ParameterError(f"cannot read an integer: {exc}") from None
 
 
 def parse_quadint(text: str, d: int = DEFAULT_D) -> QuadInt:
     """Parse the compact pair "a,b" or the full form "a+b*sqrt(d)"."""
     m = _PAIR_RE.match(text)
     if m:
-        return QuadInt(int(m.group(1)), int(m.group(2)), d)
+        return QuadInt(_parse_int(m.group(1)), _parse_int(m.group(2)), d)
     m = _FULL_RE.match(text)
     if m:
-        d_in = int(m.group(3))
+        d_in = _parse_int(m.group(3))
         if d_in != d:
             raise ParameterError(f"ring mismatch: text has d={d_in}, expected {d}")
-        return QuadInt(int(m.group(1)), int(m.group(2).replace(" ", "")), d)
+        return QuadInt(_parse_int(m.group(1)), _parse_int(m.group(2).replace(" ", "")), d)
     raise ParameterError(f"cannot parse quadratic integer from {text!r}")
 
 
@@ -127,10 +131,6 @@ class Place:
     @classmethod
     def archimedean(cls) -> "Place":
         return cls(None, None)
-
-    @classmethod
-    def finite(cls, p: int, d: int = DEFAULT_D) -> "Place":
-        return cls(p, split_type(p, d))
 
     @property
     def is_archimedean(self) -> bool:

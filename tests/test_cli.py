@@ -6,8 +6,8 @@ import subprocess
 import sys
 import time
 
-from twosquares import search
-from twosquares.cli import COMMANDS, _build_parser, canonical_json, decision_jsonable, run
+from twosquares import hunt, search
+from twosquares.cli import _build_parser, canonical_json, decision_jsonable, run
 from twosquares.criterion import decide_qsqrt_m14
 from twosquares.ring import QuadInt
 
@@ -129,35 +129,6 @@ def _outcome(capsys, parse, argv):
     return code, captured.out, captured.err
 
 
-def test_one_subcommand_parser_matches_the_full_one(capsys):
-    # run builds only the named subcommand; every subcommand's help and usage
-    # errors must read as they do from the parser with all of them
-    def full(argv):
-        _build_parser().parse_args(argv)
-        return 0
-
-    errors = {
-        "decide": "the following arguments are required: --delta",
-        "local": "the following arguments are required: --delta",
-        "search": "the following arguments are required: --delta, --bound",
-        "hunt": "the following arguments are required: --box, --bound",
-        "classical": "the following arguments are required: --max",
-    }
-    assert set(errors) == set(COMMANDS)
-    assert _outcome(capsys, run, ["--help"]) == _outcome(capsys, full, ["--help"])
-    for cmd, message in errors.items():
-        for argv in ([cmd, "--help"], [cmd]):
-            assert _outcome(capsys, run, argv) == _outcome(capsys, full, argv), argv
-        code, out, err = _outcome(capsys, run, [cmd])
-        assert (code, out) == (2, "") and err.endswith(f"twosquares {cmd}: error: {message}\n")
-    assert _outcome(capsys, run, ["decide", "--delta=1,0", "--foo"]) == (
-        2,
-        "",
-        "usage: twosquares [-h] {decide,local,search,hunt,classical} ...\n"
-        "twosquares: error: unrecognized arguments: --foo\n",
-    )
-
-
 def test_decide_high_powers_of_two(capsys):
     # squares with a high power of 2 in the norm; p = 2 is decided in closed form
     for a in (1024, 4096, 2147483648):
@@ -223,33 +194,68 @@ def test_symbols_errors(capsys):
 
 
 def test_cached_parsers_keep_no_state(capsys):
-    # run keeps each parser for the life of the process: a sequence of calls
+    # run keeps its parser for the life of the process: a sequence of calls
     # in one process must read as each call does in a fresh one
+    commands = ("decide", "local", "search", "hunt", "classical")
     sequence = [
         ["decide", "--delta=1,0", "--bogus"],
         ["decide", "--delta=-13,2", "--json"],
         ["decide", "--d=-5", "--delta=3,1", "--json"],
         ["decide", "--delta=89,0", "--bound=7", "--json"],
         ["decide", "--delta=89,0", "--json"],  # the witness of bound 50 is larger
+        *([cmd] for cmd in commands),  # each one's missing-argument usage error
     ]
     in_process = [_outcome(capsys, run, argv) for argv in sequence]
-    assert [code for code, _, _ in in_process] == [2, 0, 1, 0, 0]
+    assert [code for code, _, _ in in_process] == [2, 0, 1, 0, 0, 2, 2, 2, 2, 2]
     assert in_process[3] != in_process[4]
     for argv, outcome in zip(sequence, in_process):
         proc = _fresh_process(argv)
         assert (proc.returncode, proc.stdout, proc.stderr) == outcome, argv
+
+    def fresh(argv):
+        _build_parser.__wrapped__().parse_args(argv)
+        return 0
+
     # and every help text is what a parser built afresh prints
-    uncached = _build_parser.__wrapped__
-    for argv in [["--help"]] + [[cmd, "--help"] for cmd in COMMANDS]:
-        command = argv[0] if argv[0] in COMMANDS else None
-
-        def fresh(argv):
-            uncached(command).parse_args(argv)
-            return 0
-
+    for argv in [["--help"]] + [[cmd, "--help"] for cmd in commands]:
         expected = _outcome(capsys, fresh, argv)
         assert _outcome(capsys, run, argv) == expected, argv
         assert _outcome(capsys, run, argv) == expected, argv
+
+
+def _assert_clean_error(capsys, argv):
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_hunt_unwritable_out_exits_2_before_the_sweep(tmp_path, monkeypatch, capsys):
+    swept = []
+    monkeypatch.setattr(hunt, "hunt_counterexamples", lambda *args, **kw: swept.append(args))
+    _assert_clean_error(capsys, ["hunt", "--box", "1", "--bound", "5", "--out", str(tmp_path / "no" / "x.jsonl")])
+    assert swept == []
+
+
+def test_hunt_out_is_replaced_only_after_the_sweep(tmp_path, capsys):
+    out = tmp_path / "rows.jsonl"
+    out.write_text("old\n" * 1000)
+    assert run(["hunt", "--box", "1", "--bound", "1000", "--out", str(out)]) == 3  # over the cap
+    assert out.read_text() == "old\n" * 1000
+    capsys.readouterr()
+    assert run(["hunt", "--box", "1", "--bound", "10"]) == 0
+    expected = capsys.readouterr().out
+    assert run(["hunt", "--box", "1", "--bound", "10", "--out", str(out)]) == 0
+    assert out.read_text() == expected
+    capsys.readouterr()
+
+
+def test_symbols_zero_denominator_exits_2(capsys):
+    _assert_clean_error(capsys, ["symbols", "hilbert", "1/0", "1", "2"])
+
+
+def test_decide_coordinate_past_the_digit_limit_exits_2(capsys):
+    _assert_clean_error(capsys, ["decide", f"--delta={'9' * 5000},1"])
 
 
 def test_bad_subcommand_exits_2(capsys):

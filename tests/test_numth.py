@@ -1,8 +1,6 @@
 """Rational integer kernels: primality, factorization, residue symbols."""
 
 import random
-import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -85,22 +83,19 @@ def test_factorize_trial_division_edges():
         assert numth.factorize(n * big) == brute_factorize(n) + [(big, 1)], n
 
 
-def test_factorize_across_the_trial_bound_and_10_6(monkeypatch):
+def test_factorize_across_the_trial_bound_and_10_6():
     # primes on each side of the trial bound 2^16 and of 10^6, in products
-    # that trial division, rho, or both must split; the block cache never
-    # grows past the trial bound
-    assert numth._BLOCKS == 33 and numth._TRIAL_BOUND == 1 << 16
+    # that trial division, rho, or both must split
+    assert len(numth._BLOCK_PRODUCTS) == 33 and numth._TRIAL_BOUND == 1 << 16
     primes = (65521, 65537, 999983, 1000003)
     big = 10**12 + 39
     assert all(numth.is_prime(p) for p in (*primes, big))
 
     def expect(n, factors):
         assert numth.factorize(n) == factors, n
-        assert len(numth._block_products) <= numth._BLOCKS
         if n <= 10**10:
             assert factors == brute_factorize(n), n
 
-    monkeypatch.setattr(numth, "_block_products", ())
     for p in primes:
         expect(p, [(p, 1)])
         expect(p * p, [(p, 2)])
@@ -162,6 +157,18 @@ def test_strong_lucas_pseudoprimes_below_2e5():
     assert all(numth._strong_lucas_probable_prime(n) for n in range(3, limit, 2) if not composite[n])
 
 
+def test_block_products_are_the_odd_primes_of_each_block():
+    # block k covers [2048k, 2048(k+1)); its entry is the product of the odd
+    # primes there, read off the oracle's factorization of each odd number
+    blocks = numth._BLOCK_PRODUCTS
+    assert isinstance(blocks, tuple) and len(blocks) == 33
+    expected = [1] * len(blocks)
+    for n in range(3, len(blocks) * 2048, 2):
+        if brute_factorize(n) == [(n, 1)]:
+            expected[n // 2048] *= n
+    assert list(blocks) == expected
+
+
 def test_factorize_stops_at_prime_cofactor(monkeypatch):
     taken = []
 
@@ -169,23 +176,13 @@ def test_factorize_stops_at_prime_cofactor(monkeypatch):
         taken.append(b)
         return gcd(a, b)
 
-    monkeypatch.setattr(numth, "_block_products", ())
     monkeypatch.setattr(numth, "gcd", counting)
     big = 10**12 + 39
     assert numth.factorize(3 * 5 * big) == [(3, 1), (5, 1), (big, 1)]
-    assert len(taken) == 1 and len(numth._block_products) == 1
+    assert len(taken) == 1
     taken.clear()
     assert numth.factorize(2**7 * big) == [(2, 7), (big, 1)]
     assert taken == []
-
-
-def test_factorize_does_not_depend_on_cache_order(monkeypatch):
-    small, large = 3 * 5 * 2053, 1000003**2 * (10**12 + 39)
-    full = numth._blocks_through(numth._BLOCKS - 1)
-    expected = [numth.factorize(small), numth.factorize(large)]
-    monkeypatch.setattr(numth, "_block_products", ())
-    assert [numth.factorize(small), numth.factorize(large)] == expected
-    assert numth._block_products == full
 
 
 def test_factorize_vs_oracle_seeded():
@@ -198,27 +195,6 @@ def test_factorize_vs_oracle_seeded():
         cases.append(smooth * rng.choice((10007, 999983, 1000003, 99999989)))
     for n in cases:
         assert numth.factorize(n) == brute_factorize(n), n
-
-
-def test_block_cache_survives_concurrent_extension(monkeypatch):
-    # threads that extend the block products at once must leave a cache
-    # equal to one built alone, and factor correctly meanwhile
-    full = numth._blocks_through(numth._BLOCKS - 1)
-    big = 10**12 + 39
-    cases = [p * big for p in (2053, 65537, 999983, 1000003)]
-    expected = [numth.factorize(n) for n in cases]
-    switch = sys.getswitchinterval()
-    try:
-        sys.setswitchinterval(1e-6)
-        for _ in range(3):
-            monkeypatch.setattr(numth, "_block_products", ())
-            with ThreadPoolExecutor(max_workers=6) as pool:
-                futures = [pool.submit(numth.factorize, n) for n in cases * 3]
-                results = [f.result(timeout=60) for f in futures]
-            assert results == expected * 3
-            assert numth._blocks_through(numth._BLOCKS - 1) == full
-    finally:
-        sys.setswitchinterval(switch)
 
 
 def test_factorize_rejects_nonpositive():

@@ -69,15 +69,15 @@ def test_str_and_parse_round_trip():
         d = rng.choice(SQUAREFREE_DS)
         x = QuadInt(rng.randrange(-99, 100), rng.randrange(-99, 100), d)
         assert parse_quadint(str(x), d) == x
-        assert parse_quadint(x.pair(), d) == x
+        assert parse_quadint(f"{x.a},{x.b}", d) == x
     assert str(QuadInt(2, -3)) == "2-3*sqrt(-14)"
-    assert QuadInt(2, -3).pair() == "2,-3"
     assert parse_quadint("-13,2") == QuadInt(-13, 2)
     assert parse_quadint("1+1*sqrt(-14)") == QuadInt(1, 1)
 
 
 def test_parse_rejects_garbage():
-    for text in ("", "1", "1,2,3", "a,b", "1+sqrt(-14)", "1+2*sqrt(-13)"):
+    huge = "9" * 5000  # past the default int-string digit limit
+    for text in ("", "1", "1,2,3", "a,b", "1+sqrt(-14)", "1+2*sqrt(-13)", f"{huge},1", f"1+{huge}*sqrt(-14)"):
         with pytest.raises(ParameterError):
             parse_quadint(text)
 
@@ -114,8 +114,8 @@ def test_split_type_rejects():
 def test_place_labels():
     assert Place.archimedean().label() == "oo"
     assert Place.archimedean().is_archimedean
-    assert Place.finite(7).label() == "7"
-    assert Place.finite(7).splitting is Splitting.RAMIFIED
+    assert Place(7, split_type(7)).label() == "7"
+    assert Place(7, split_type(7)).splitting is Splitting.RAMIFIED
 
 
 def test_norm_factorization_fixed():
