@@ -17,6 +17,7 @@ from functools import lru_cache
 from . import hunt as hunt_mod
 from . import numth
 from .criterion import (
+    DEFAULT_WITNESS_BOUND,
     Decision,
     DecisionStatus,
     decide_generic,
@@ -193,43 +194,32 @@ def _cmd_classical(args) -> int:
     return 0 if ok else 1
 
 
-def _parse_hilbert_place(text: str) -> int | None:
-    if text in ("inf", "oo", "real"):
+# each kind's numth function and the names of its arguments
+_SYMBOLS = {
+    "legendre": (numth.legendre, ("a", "p")),
+    "jacobi": (numth.jacobi, ("a", "n")),
+    "quartic": (numth.is_quartic_residue, ("a", "p")),
+    "hilbert": (numth.hilbert_symbol, ("a", "b", "place")),
+}
+
+
+def _symbol_argument(kind: str, name: str, text: str) -> int | Fraction | None:
+    if name == "place" and text in ("inf", "oo", "real"):
         return None
-    return int(text)
-
-
-def _run_symbols(argv: list[str]) -> int:
-    # parsed by hand so that negative arguments work without tricks
-    usage = "usage: twosquares symbols {legendre,jacobi,quartic,hilbert} <args>"
-    if not argv:
-        print(usage, file=sys.stderr)
-        return 2
-    kind, rest = argv[0], argv[1:]
-    arity = {"legendre": 2, "jacobi": 2, "quartic": 2, "hilbert": 3}
-    if kind not in arity:
-        print(usage, file=sys.stderr)
-        return 2
-    if len(rest) != arity[kind]:
-        print(f"{usage}\n{kind} takes {arity[kind]} arguments", file=sys.stderr)
-        return 2
     try:
-        if kind == "hilbert":
-            a = Fraction(rest[0])
-            b = Fraction(rest[1])
-            place = _parse_hilbert_place(rest[2])
-            print(numth.hilbert_symbol(a, b, place))
-            return 0
-        x, m = int(rest[0]), int(rest[1])
-    except (ValueError, ZeroDivisionError) as exc:  # Fraction("1/0") raises the latter
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if kind == "legendre":
-        print(numth.legendre(x, m))
-    elif kind == "jacobi":
-        print(numth.jacobi(x, m))
-    else:
-        print("true" if numth.is_quartic_residue(x, m) else "false")
+        return Fraction(text) if kind == "hilbert" and name != "place" else int(text)
+    except ZeroDivisionError:  # Fraction("1/0")
+        raise ParameterError(f"argument {name}: zero denominator in {text!r}") from None
+    except ValueError as exc:  # not a number, or past the int-string digit limit
+        raise ParameterError(f"argument {name}: {exc}") from None
+
+
+def _cmd_symbols(args) -> int:
+    func, names = _SYMBOLS[args.kind]
+    if len(args.values) != len(names):
+        raise ParameterError(f"{args.kind} takes {len(names)} arguments: {' '.join(names)}")
+    result = func(*(_symbol_argument(args.kind, n, t) for n, t in zip(names, args.values)))
+    print(canonical_json(result))  # -1 or 1; true or false for quartic
     return 0
 
 
@@ -243,25 +233,21 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("decide", help="run the exact criterion (or the generic semi-decision)")
-    p.add_argument("--delta", required=True, help='coordinates "a,b" or "a+b*sqrt(d)"')
-    p.add_argument("--d", type=int, default=DEFAULT_D, help="ring parameter (default -14)")
-    p.add_argument("--bound", type=int, default=50, help="witness search bound")
-    p.add_argument("--json", action="store_true")
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--delta", required=True, help='coordinates "a,b" or "a+b*sqrt(d)"')
+    shared.add_argument("--d", type=int, default=DEFAULT_D, help=f"ring parameter (default {DEFAULT_D})")
+    shared.add_argument("--json", action="store_true")
+
+    p = sub.add_parser("decide", parents=[shared], help="run the exact criterion (or the generic semi-decision)")
+    p.add_argument("--bound", type=int, default=DEFAULT_WITNESS_BOUND, help="witness search bound")
     p.set_defaults(func=_cmd_decide)
 
-    p = sub.add_parser("local", help="local solvability verdicts")
-    p.add_argument("--delta", required=True)
-    p.add_argument("--d", type=int, default=DEFAULT_D)
+    p = sub.add_parser("local", parents=[shared], help="local solvability verdicts")
     p.add_argument("--prime", type=int, default=None, help="single place (default: all relevant)")
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_local)
 
-    p = sub.add_parser("search", help="bounded exhaustive representation search")
-    p.add_argument("--delta", required=True)
-    p.add_argument("--d", type=int, default=DEFAULT_D)
+    p = sub.add_parser("search", parents=[shared], help="bounded exhaustive representation search")
     p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("hunt", help="sweep a box for local-global counterexamples")
@@ -276,24 +262,26 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_classical)
 
+    p = sub.add_parser("symbols", help="Legendre, Jacobi, quartic residue and Hilbert symbols")
+    p.add_argument("kind", choices=_SYMBOLS)
+    # REMAINDER, not "+": a value such as -1/2 would otherwise read as an option
+    p.add_argument(
+        "values",
+        nargs=argparse.REMAINDER,
+        help="a p (legendre, quartic), a n (jacobi) or a b place (hilbert); "
+        "hilbert takes fractions like -1/2 and a prime place or oo",
+    )
+    p.set_defaults(func=_cmd_symbols)
+
     return parser
 
 
 def run(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    if argv and argv[0] == "symbols":
-        try:
-            return _run_symbols(argv[1:])
-        except (ParameterError, UnsupportedInputError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
     try:
         args = _build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    try:
         return args.func(args)
+    except SystemExit as exc:  # argparse has printed a usage error or the help
+        return int(exc.code or 0)
     except (ParameterError, UnsupportedInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

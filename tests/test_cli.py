@@ -77,6 +77,15 @@ def test_decide_json_negative(capsys):
     assert doc["witness"] is None
 
 
+def test_decide_bound_defaults_to_the_criterion_default(capsys):
+    # 1764 = 42^2 has no witness with every coordinate <= 40
+    delta = QuadInt(1764, 0)
+    assert run(["decide", "--delta=1764,0", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == decision_jsonable(delta, decide_qsqrt_m14(delta))
+    assert doc["witness_verified"] is True
+
+
 def test_decide_text_output(capsys):
     run(["decide", "--delta=2,0"])
     out = capsys.readouterr().out
@@ -179,10 +188,19 @@ def test_symbols(capsys):
         (["symbols", "hilbert", "-1", "-1", "oo"], "-1"),
         (["symbols", "hilbert", "-1", "-1", "7"], "1"),
         (["symbols", "hilbert", "1/2", "7", "2"], "1"),
+        # leading-dash values need no "=": they are values, not options
+        (["symbols", "hilbert", "-1/2", "-3", "oo"], "-1"),
+        (["symbols", "hilbert", "-1/2", "3", "2"], "1"),
+        (["symbols", "legendre", "-3", "7"], "1"),
+        (["symbols", "jacobi", "-1", "9907"], "-1"),
+        (["symbols", "hilbert", "-1", "-1", "inf"], "-1"),
+        (["symbols", "hilbert", "-1", "-1", "real"], "-1"),
     ]
     for argv, expected in cases:
         assert run(argv) == 0, argv
         assert capsys.readouterr().out.strip() == expected, argv
+    assert run(["--help"]) == 0
+    assert "symbols" in capsys.readouterr().out
 
 
 def test_symbols_errors(capsys):
@@ -196,7 +214,7 @@ def test_symbols_errors(capsys):
 def test_cached_parsers_keep_no_state(capsys):
     # run keeps its parser for the life of the process: a sequence of calls
     # in one process must read as each call does in a fresh one
-    commands = ("decide", "local", "search", "hunt", "classical")
+    commands = ("decide", "local", "search", "hunt", "classical", "symbols")
     sequence = [
         ["decide", "--delta=1,0", "--bogus"],
         ["decide", "--delta=-13,2", "--json"],
@@ -206,7 +224,7 @@ def test_cached_parsers_keep_no_state(capsys):
         *([cmd] for cmd in commands),  # each one's missing-argument usage error
     ]
     in_process = [_outcome(capsys, run, argv) for argv in sequence]
-    assert [code for code, _, _ in in_process] == [2, 0, 1, 0, 0, 2, 2, 2, 2, 2]
+    assert [code for code, _, _ in in_process] == [2, 0, 1, 0, 0, 2, 2, 2, 2, 2, 2]
     assert in_process[3] != in_process[4]
     for argv, outcome in zip(sequence, in_process):
         proc = _fresh_process(argv)
@@ -228,6 +246,7 @@ def _assert_clean_error(capsys, argv):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
     assert captured.out == ""
+    return captured.err
 
 
 def test_hunt_unwritable_out_exits_2_before_the_sweep(tmp_path, monkeypatch, capsys):
@@ -251,7 +270,16 @@ def test_hunt_out_is_replaced_only_after_the_sweep(tmp_path, capsys):
 
 
 def test_symbols_zero_denominator_exits_2(capsys):
-    _assert_clean_error(capsys, ["symbols", "hilbert", "1/0", "1", "2"])
+    # each error names the argument it could not read
+    cases = [
+        (["hilbert", "1/0", "1", "2"], ["argument a", "zero denominator"]),
+        (["hilbert", "1", "1", "x"], ["argument place"]),
+        (["legendre", "x", "7"], ["argument a"]),
+        (["legendre", "3", "9" * 5000], ["argument p"]),  # past the int-string digit limit
+    ]
+    for argv, words in cases:
+        err = _assert_clean_error(capsys, ["symbols", *argv])
+        assert all(word in err for word in words), (argv, err)
 
 
 def test_decide_coordinate_past_the_digit_limit_exits_2(capsys):
