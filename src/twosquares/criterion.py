@@ -10,9 +10,9 @@ from math import isqrt
 
 from . import numth
 from .errors import ParameterError
-from .localsolve import LocalVerdict, locally_solvable_everywhere
+from .localsolve import LocalVerdict, _local_report, locally_solvable_everywhere
 from .ring import DEFAULT_D, NormFactorization, Place, QuadInt, norm_factorization
-from .search import find_representation, two_square_search, verify_witness
+from .search import _check_bound, find_representation, two_square_search, verify_witness
 
 DEFAULT_WITNESS_BOUND = 50
 
@@ -82,6 +82,8 @@ def decide_qsqrt_m14(delta: QuadInt, witness_bound: int | None = DEFAULT_WITNESS
     """
     if delta.d != DEFAULT_D:
         raise ParameterError(f"criterion applies to d={DEFAULT_D}, got d={delta.d}")
+    if witness_bound is not None:
+        _check_bound(witness_bound)
     nf = norm_factorization(delta)
     eps = parity_exponent(nf)
     a1_symbol = numth.legendre(nf.a1, 7)
@@ -91,9 +93,8 @@ def decide_qsqrt_m14(delta: QuadInt, witness_bound: int | None = DEFAULT_WITNESS
     else:
         branch = "parity"
         condition_symbol = a1_symbol == (-1) ** eps
-    # the places of condition 1, from the factorization already in hand
-    places = sorted({2} | ({7} if nf.s2 else set()) | {p for p, _ in nf.primes})
-    condition_local, report = locally_solvable_everywhere(delta, places)
+    # condition 1 walks the places of the factorization already in hand
+    condition_local, report = _local_report(delta, ((2, nf.s1), (7, nf.s2), *nf.primes))
     evidence = Evidence(
         factorization=nf,
         parity_exponent=eps,
@@ -164,8 +165,7 @@ def decide_rational(n: int) -> Decision:
 def decide_generic(delta: QuadInt, search_bound: int = DEFAULT_WITNESS_BOUND) -> Decision:
     """Semi-decision for arbitrary valid d: local checks can refute, a found
     witness confirms, anything else is UNKNOWN."""
-    if delta.is_zero():
-        raise ParameterError("delta must be nonzero")
+    _check_bound(search_bound)
     condition_local, report = locally_solvable_everywhere(delta)
     evidence = Evidence(condition_local=condition_local, local_report=tuple(report))
     if not condition_local:

@@ -4,14 +4,13 @@ and emit JSON-ready records.  Output is deterministic for any worker count."""
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .criterion import Decision, DecisionStatus, decide_qsqrt_m14
 from .errors import ParameterError
 from .localsolve import LocalVerdict, locally_solvable_everywhere
 from .ring import QuadInt
-from .search import find_representation, residue_obstruction, verify_witness, witness_jsonable
+from .search import _check_bound, find_representation, residue_obstruction, verify_witness, witness_jsonable
 
 
 @dataclass(frozen=True)
@@ -102,14 +101,16 @@ def hunt_counterexamples(box: int, bound: int, workers: int = 1) -> HuntResult:
     order regardless of worker count."""
     if box < 0:
         raise ParameterError(f"box must be >= 0, got {box}")
-    if bound < 1:
-        raise ParameterError(f"bound must be >= 1, got {bound}")
+    _check_bound(bound)
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
     rows = [(a, box, bound) for a in range(-box, box + 1)]
-    if workers == 1 or len(rows) <= 1:
+    # the pool starts all its processes at once, so start no more than rows
+    workers = min(workers, len(rows))
+    if workers == 1:
         row_results = [_hunt_row(r) for r in rows]
     else:
+        from concurrent.futures import ProcessPoolExecutor  # ~9 ms, for parallel hunts only
         with ProcessPoolExecutor(max_workers=workers) as pool:
             row_results = list(pool.map(_hunt_row, rows))
     records: list[dict] = []

@@ -6,6 +6,7 @@ possible even power of the uniformizer."""
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
@@ -63,19 +64,8 @@ def _lift_sqrt(a: int, p: int, k: int) -> int:
     return r
 
 
-def relevant_primes(delta: QuadInt) -> list[int]:
-    """2 together with every prime dividing N(delta); only these can obstruct."""
-    if delta.is_zero():
-        raise ParameterError("delta must be nonzero")
-    primes = {2}
-    for q, _ in numth.factorize(abs(delta.norm())):
-        primes.add(q)
-    return sorted(primes)
-
-
-def _place_valuations(delta: QuadInt, p: int, splitting: Splitting) -> list[int]:
-    # w-normalized valuations of delta at the places over p
-    vn = numth.valuation(abs(delta.norm()), p)
+def _place_valuations(delta: QuadInt, p: int, splitting: Splitting, vn: int) -> list[int]:
+    # w-normalized valuations of delta at the places over p, for vn = v_p(N(delta))
     if splitting is Splitting.RAMIFIED:
         return [vn]
     if splitting is Splitting.INERT:
@@ -224,10 +214,11 @@ def _two_adic_verdict(delta: QuadInt, place: Place, v: int) -> LocalVerdict:
     return LocalVerdict(place, False, None, k)
 
 
-def _finite_verdict(delta: QuadInt, place: Place) -> LocalVerdict:
-    # the verdict at a finite place whose prime and splitting the caller holds
+def _finite_verdict(delta: QuadInt, place: Place, vn: int) -> LocalVerdict:
+    # the verdict at a finite place whose prime, splitting and v_p(N(delta))
+    # the caller holds
     p = place.prime
-    vals = _place_valuations(delta, p, place.splitting)
+    vals = _place_valuations(delta, p, place.splitting, vn)
     if p == 2:
         return _two_adic_verdict(delta, place, vals[0])
     return _odd_verdict(delta, p, place, vals)
@@ -238,7 +229,8 @@ def locally_solvable(delta: QuadInt, p: int) -> LocalVerdict:
     Z[sqrt(d)] above p, in closed form."""
     if delta.is_zero():
         raise ParameterError("delta must be nonzero")
-    return _finite_verdict(delta, Place(p, split_type(p, delta.d)))
+    place = Place(p, split_type(p, delta.d))
+    return _finite_verdict(delta, place, numth.valuation(abs(delta.norm()), p))
 
 
 def _embedding_nonneg(a: int, b: int, d: int) -> bool:
@@ -262,21 +254,20 @@ def _archimedean_verdict(delta: QuadInt) -> LocalVerdict:
     return LocalVerdict(place, ok)
 
 
-def locally_solvable_everywhere(
-    delta: QuadInt, primes: list[int] | None = None
-) -> tuple[bool, list[LocalVerdict]]:
-    """Check every place that can obstruct: archimedean, 2, and the primes
-    dividing N(delta).
+def _local_report(delta: QuadInt, factors: Iterable[tuple[int, int]]) -> tuple[bool, list[LocalVerdict]]:
+    # The verdicts at oo, 2 and every p with e > 0, in ascending order, for
+    # the (p, e) pairs of a factorization of |N(delta)|: only these places
+    # can obstruct, and each e is v_p(N(delta)).
+    exps = {2: 0} | {p: e for p, e in factors if e}
+    verdicts = [_archimedean_verdict(delta)]
+    for p in sorted(exps):
+        verdicts.append(_finite_verdict(delta, Place(p, _split_type(p, delta.d)), exps[p]))
+    return all(v.solvable for v in verdicts), verdicts
 
-    primes, if given, is that sorted prime list from a factorization the
-    caller already holds; by default it is relevant_primes(delta).  Its
-    entries are taken as primes and not tested again.
-    """
+
+def locally_solvable_everywhere(delta: QuadInt) -> tuple[bool, list[LocalVerdict]]:
+    """Check every place that can obstruct: archimedean, 2, and the primes
+    dividing N(delta)."""
     if delta.is_zero():
         raise ParameterError("delta must be nonzero")
-    if primes is None:
-        primes = relevant_primes(delta)
-    verdicts = [_archimedean_verdict(delta)]
-    for p in primes:
-        verdicts.append(_finite_verdict(delta, Place(p, _split_type(p, delta.d))))
-    return all(v.solvable for v in verdicts), verdicts
+    return _local_report(delta, numth.factorize(abs(delta.norm())))

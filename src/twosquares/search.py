@@ -113,6 +113,14 @@ def witness_jsonable(witness: tuple[QuadInt, QuadInt] | None) -> dict | None:
     return {"x": {"a": x.a, "b": x.b}, "y": {"a": y.a, "b": y.b}}
 
 
+def _check_bound(bound: int) -> None:
+    # made before any shortcut, so a bad bound fails the same for every delta
+    if bound < 1:
+        raise ParameterError(f"bound must be >= 1, got {bound}")
+    if bound > MAX_SEARCH_BOUND:
+        raise ResourceLimitError(f"search bound {bound} exceeds {MAX_SEARCH_BOUND}")
+
+
 def find_representation(delta: QuadInt, bound: int) -> SearchReport:
     """Exhaustive search for x, y with x^2 + y^2 = delta and all coordinates
     within [-bound, bound].
@@ -129,11 +137,10 @@ def find_representation(delta: QuadInt, bound: int) -> SearchReport:
     outright (0 states): the sqrt(d) coordinate of x^2 + y^2 is 2(uv + st),
     always even.  For d < 0 a norm above (2(1 - d)*bound^2)^2 is a miss
     without a scan: every coordinate-bounded x has |x|^2 = u^2 - d*v^2 <=
-    (1 - d)*bound^2.  A bound above MAX_SEARCH_BOUND raises
-    ResourceLimitError.
+    (1 - d)*bound^2.  A bound below 1 raises ParameterError and one above
+    MAX_SEARCH_BOUND ResourceLimitError, whatever delta is.
     """
-    if bound < 1:
-        raise ParameterError(f"bound must be >= 1, got {bound}")
+    _check_bound(bound)
     d = delta.d
     if delta.is_zero():
         zero = QuadInt(0, 0, d)
@@ -143,8 +150,6 @@ def find_representation(delta: QuadInt, bound: int) -> SearchReport:
     width = 2 * bound + 1
     if d < 0 and delta.norm() > (2 * (1 - d) * bound * bound) ** 2:
         return SearchReport(delta, bound, None, width * width)
-    if bound > MAX_SEARCH_BOUND:
-        raise ResourceLimitError(f"search bound {bound} exceeds {MAX_SEARCH_BOUND}")
     a, b = delta.a, delta.b
     masks = [(m, _mask_rows(d, m, a % m, b % m, bound)) for m in MASK_MODULI]
     for u in range(-bound, 1):

@@ -6,6 +6,8 @@ import subprocess
 import sys
 import time
 
+import pytest
+
 from twosquares import hunt, search
 from twosquares.cli import _build_parser, canonical_json, decision_jsonable, run
 from twosquares.criterion import decide_qsqrt_m14
@@ -106,6 +108,29 @@ def test_local_json(capsys):
     assert run(["local", "--d=-3022", "--delta=1511,0", "--prime", "1511", "--json"]) == 0
     verdict = json.loads(capsys.readouterr().out)["verdicts"][0]
     assert verdict["solvable"] is True and verdict["certificate"]["level"] == 2
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["decide", "--delta=-1,0", "--bound", "0"], 2),
+        (["decide", "--delta=-13,2", "--bound", "0"], 2),
+        (["decide", "--delta=-1,0", "--bound", "301"], 3),
+        (["decide", "--delta=-13,2", "--bound", "301"], 3),
+        (["decide", "--delta=1000000000,0", "--bound", "1000"], 3),
+        (["decide", "--d=-6", "--delta=-1,0", "--bound", "0"], 2),
+        (["decide", "--d=-6", "--delta=1,1", "--bound", "301"], 3),
+        (["search", "--delta=1,1", "--bound", "5000"], 3),
+        (["search", "--delta=2,0", "--bound", "5000"], 3),
+        (["search", "--delta=0,0", "--bound", "0"], 2),
+        (["hunt", "--box", "1", "--bound", "0"], 2),
+    ],
+)
+def test_bad_bound_exit_code_does_not_depend_on_delta(argv, code, capsys):
+    assert run(argv) == code
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_search_json_and_text(capsys):

@@ -155,6 +155,8 @@ def test_decide_places_match_relevant_primes():
             delta = QuadInt(a, b)
             dec = decide_qsqrt_m14(delta, witness_bound=None)
             assert list(dec.evidence.local_report) == locally_solvable_everywhere(delta)[1], delta
+            labels = [v.place.label() for v in dec.evidence.local_report]
+            assert ("7" in labels) == (delta.norm() % 7 == 0), delta
 
 
 def test_decide_large_odd_places():

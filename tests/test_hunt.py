@@ -91,6 +91,33 @@ def test_worker_counts_agree():
     ]
 
 
+def test_hunt_starts_no_more_workers_than_rows(monkeypatch):
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        # stands in for ProcessPoolExecutor: records max_workers, starts nothing
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    serial = result_lines(hunt_counterexamples(1, 10))
+    assert result_lines(hunt_counterexamples(1, 10, workers=5000)) == serial
+    assert result_lines(hunt_counterexamples(1, 10, workers=2)) == serial
+    assert hunt_counterexamples(0, 10, workers=5000).records == ()
+    assert sizes == [3, 2]  # box 1 has 3 rows; box 0 has one, run serially
+
+
 def test_sieve_against_local_solver_sets_discrepancy(monkeypatch):
     # force the sieve to refute everything, and the local solver to accept
     # every a = 0 delta: each record the local side accepts must be flagged

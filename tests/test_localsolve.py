@@ -10,9 +10,9 @@ from twosquares import criterion, localsolve, numth
 from twosquares.errors import ParameterError, ResourceLimitError
 from twosquares.localsolve import (
     ModularSolution,
+    _local_report,
     locally_solvable,
     locally_solvable_everywhere,
-    relevant_primes,
 )
 from twosquares.ring import Place, QuadInt, Splitting, split_type
 
@@ -28,12 +28,26 @@ def _check_congruences(delta: QuadInt, sol: ModularSolution, p: int) -> None:
     assert (2 * (u * v + s * t) - delta.b) % m == 0
 
 
+def _labels(delta: QuadInt) -> list[str]:
+    return [v.place.label() for v in locally_solvable_everywhere(delta)[1]]
+
+
 def test_relevant_primes():
-    assert relevant_primes(QuadInt(1, 1)) == [2, 3, 5]
-    assert relevant_primes(QuadInt(-14, 0)) == [2, 7]
-    assert relevant_primes(QuadInt(1, 0)) == [2]
+    # oo, 2 and the primes dividing the norm, in ascending order
+    assert _labels(QuadInt(1, 1)) == ["oo", "2", "3", "5"]
+    assert _labels(QuadInt(-14, 0)) == ["oo", "2", "7"]
+    assert _labels(QuadInt(1, 0)) == ["oo", "2"]
     with pytest.raises(ParameterError):
-        relevant_primes(QuadInt(0, 0))
+        locally_solvable_everywhere(QuadInt(0, 0))
+
+
+def test_walk_skips_zero_exponents():
+    # a factorization may carry p^0, as the criterion's 7^s2 does when 7
+    # does not divide the norm: such a p is no place of the walk
+    delta = QuadInt(1, 1)  # N = 15
+    ok, verdicts = _local_report(delta, ((2, 0), (7, 0), (3, 1), (5, 1)))
+    assert [v.place.label() for v in verdicts] == ["oo", "2", "3", "5"]
+    assert (ok, verdicts) == locally_solvable_everywhere(delta)
 
 
 def test_cutoff_depth_fixed():
@@ -200,8 +214,9 @@ def test_square_roots_do_not_reprove_primes(monkeypatch):
 
 
 def test_everywhere_does_not_reprove_primes(monkeypatch):
-    # the primes come from a factorization: their splittings are read off
-    # without testing them again, and each verdict is the public one's
+    # the primes and their exponents come from a factorization: splittings
+    # and valuations are read off without testing the primes again, and each
+    # verdict is the public one's
     deltas = [QuadInt(a, b) for a in range(-12, 13) for b in range(-12, 13) if a or b]
     deltas += [
         QuadInt(10**12 + 39, 5),
@@ -213,22 +228,23 @@ def test_everywhere_does_not_reprove_primes(monkeypatch):
         QuadInt(-13, 2, -5),
         QuadInt(7, 3, 2),
     ]
-    cases = [(delta, relevant_primes(delta)) for delta in deltas]
-    expected = [[locally_solvable(delta, p) for p in primes] for delta, primes in cases]
+    cases = [(delta, numth.factorize(abs(delta.norm()))) for delta in deltas]
+    expected = [
+        [locally_solvable(delta, p) for p in sorted({2} | {q for q, _ in factors})]
+        for delta, factors in cases
+    ]
     calls = []
     is_prime = numth.is_prime
     monkeypatch.setattr(numth, "is_prime", lambda n: calls.append(n) or is_prime(n))
-    for (delta, primes), want in zip(cases, expected):
-        ok, verdicts = locally_solvable_everywhere(delta, primes)
+    for (delta, factors), want in zip(cases, expected):
+        ok, verdicts = _local_report(delta, factors)
         assert verdicts[1:] == want, delta
         assert ok == all(v.solvable for v in verdicts)
     assert calls == []
     monkeypatch.undo()
-    for p in (1, 6, 9):
+    for p in (1, 6, 9, 15):
         with pytest.raises(ParameterError):
             locally_solvable(QuadInt(6, 1), p)
-    with pytest.raises(ParameterError):
-        locally_solvable_everywhere(QuadInt(0, 0), [2])
 
 
 def test_verdict_stability_and_monotonicity_small_box():

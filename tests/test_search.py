@@ -9,7 +9,7 @@ import pytest
 
 from oracles import brute_two_squares, full_box_scan, is_representation, sums_of_two_squares_mod
 from twosquares import search
-from twosquares.errors import ParameterError
+from twosquares.errors import ParameterError, ResourceLimitError
 from twosquares.ring import QuadInt
 from twosquares.search import (
     _sums_of_two_squares_mod,
@@ -119,8 +119,13 @@ def test_norm_bound_misses_without_a_scan(monkeypatch):
 
 
 def test_bound_validation():
-    with pytest.raises(ParameterError):
-        find_representation(QuadInt(1, 0), 0)
+    # the bound is checked before the zero, odd-b and norm shortcuts, so its
+    # error does not depend on delta
+    for delta in (QuadInt(1, 0), QuadInt(0, 0), QuadInt(1, 1), QuadInt(2, 0), QuadInt(10**9, 0)):
+        with pytest.raises(ParameterError):
+            find_representation(delta, 0)
+        with pytest.raises(ResourceLimitError):
+            find_representation(delta, search.MAX_SEARCH_BOUND + 1)
 
 
 def test_sieve_never_refutes_a_sum_of_two_squares():
