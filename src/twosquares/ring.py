@@ -158,15 +158,18 @@ class NormFactorization:
 
 def _partition(primes: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], ...]:
     # the primes come from factorize and are prime to 14, so each symbol is
-    # +1 or -1 and Euler's criterion needs no primality check
+    # +1 or -1 and Euler's criterion needs no primality check; every class
+    # needs (-1/p) = +1, that is p = 1 (mod 4)
     d1, d2, d3 = [], [], []
     for p, _ in primes:
-        r1, r14, r7 = (numth._euler_criterion(c, p) for c in (-1, 14, 7))
-        if r1 and r14 and not r7:
+        if p % 4 == 3:
+            continue
+        r14, r7 = numth._euler_criterion(14, p), numth._euler_criterion(7, p)
+        if r14 and not r7:
             d1.append(p)
-        if r1 and not r14 and not r7:
+        if not r14 and not r7:
             d2.append(p)
-        if r1 and r14 and not numth._euler_criterion(7, p, 4):
+        if r14 and not numth._euler_criterion(7, p, 4):
             d3.append(p)
     return tuple(d1), tuple(d2), tuple(d3)
 

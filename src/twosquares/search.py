@@ -8,15 +8,18 @@ so a refutation by the sieve stays an independent witness against them."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 from math import isqrt
+from operator import and_
 
 from .errors import ParameterError, ResourceLimitError
 from .ring import QuadInt
 
 # Each u of a scan ANDs one (2*bound + 1)-bit row per modulus, and the
-# _mask_rows cache holds up to 1024 such row tuples: this cap bounds both
-# that memory and the time of one scan.
+# _mask_rows cache holds up to 1024 tuples of m such rows: this cap bounds
+# both that memory and the time of one scan.  The _square_roots_mod cache
+# under them holds one m*m-bit root set per square mod m for each (d, m),
+# whatever the bound.
 MAX_SEARCH_BOUND = 300
 
 # If y^2 = delta - x^2 then delta - x^2 is a square mod every m, so the scan
@@ -59,32 +62,41 @@ def _square_root(a: int, b: int, r: int, d: int, bound: int) -> tuple[int, int] 
 
 
 @lru_cache(maxsize=32)
-def _squares_mod(d: int, m: int) -> frozenset[tuple[int, int]]:
-    # every y^2 in Z[sqrt(d)]/m, as coordinate pairs reduced mod m
-    return frozenset(((s * s + d * t * t) % m, 2 * s * t % m) for s in range(m) for t in range(m))
+def _square_roots_mod(d: int, m: int) -> dict[tuple[int, int], int]:
+    # Each y^2 in Z[sqrt(d)]/m, as a coordinate pair reduced mod m, maps to
+    # the m*m-bit set of its square roots r + c*sqrt(d), bit r*m + c; the
+    # keys are every square mod m.
+    roots: dict[tuple[int, int], int] = {}
+    for r in range(m):
+        for c in range(m):
+            z = ((r * r + d * c * c) % m, 2 * r * c % m)
+            roots[z] = roots.get(z, 0) | 1 << (r * m + c)
+    return roots
 
 
 @lru_cache(maxsize=32)
 def _sums_of_two_squares_mod(d: int, m: int) -> frozenset[tuple[int, int]]:
     # every x^2 + y^2 in Z[sqrt(d)]/m, as coordinate pairs reduced mod m
-    squares = _squares_mod(d, m)
+    squares = _square_roots_mod(d, m)
     return frozenset(((a1 + a2) % m, (b1 + b2) % m) for a1, b1 in squares for a2, b2 in squares)
 
 
 @lru_cache(maxsize=1024)
 def _mask_rows(d: int, m: int, a: int, b: int, bound: int) -> tuple[int, ...]:
     # Row r has bit v + bound set, for v in [-bound, bound], iff
-    # (a + b*sqrt(d)) - (r + v*sqrt(d))^2 is a square mod m; a and b come
-    # reduced mod m, and rows are indexed by u mod m.
-    squares = _squares_mod(d, m)
+    # (a + b*sqrt(d)) - (r + v*sqrt(d))^2 is a square mod m, that is iff
+    # r + v*sqrt(d) is a square root of (a + b*sqrt(d)) - s for a square s;
+    # a and b come reduced mod m, and rows are indexed by u mod m.
+    roots = _square_roots_mod(d, m)
+    passing = 0
+    for s0, s1 in roots:
+        passing |= roots.get(((a - s0) % m, (b - s1) % m), 0)
+    # Row r of passing holds bit c for v = c mod m; the repunit repeats it
+    # past width + m bits, and the shift puts v = -bound at bit 0.
     width = 2 * bound + 1
-    full = (1 << width) - 1
-    comb = sum(1 << i for i in range(0, width, m))  # bits 0, m, 2m, ...
-    combs = [(comb << (c + bound) % m) & full for c in range(m)]
-    return tuple(
-        sum(combs[c] for c in range(m) if ((a - r * r - d * c * c) % m, (b - 2 * r * c) % m) in squares)
-        for r in range(m)
-    )
+    repunit = sum(1 << k * m for k in range(width // m + 2))
+    low, full, shift = (1 << m) - 1, (1 << width) - 1, -bound % m
+    return tuple(((passing >> r * m & low) * repunit >> shift) & full for r in range(m))
 
 
 def residue_obstruction(delta: QuadInt) -> int | None:
@@ -151,12 +163,15 @@ def find_representation(delta: QuadInt, bound: int) -> SearchReport:
     if d < 0 and delta.norm() > (2 * (1 - d) * bound * bound) ** 2:
         return SearchReport(delta, bound, None, width * width)
     a, b = delta.a, delta.b
-    masks = [(m, _mask_rows(d, m, a % m, b % m, bound)) for m in MASK_MODULI]
-    for u in range(-bound, 1):
+    # Each modulus's rows repeated and sliced to rows[u % m] for u = -bound..0;
+    # the lazy maps AND them one u at a time, so a hit stops the ANDs too.
+    columns = []
+    for m in MASK_MODULI:
+        rows, start = _mask_rows(d, m, a % m, b % m, bound), -bound % m
+        columns.append((rows * (bound // m + 2))[start : start + bound + 1])
+    lives = reduce(partial(map, and_), columns)
+    for u, live in zip(range(-bound, 1), lives):
         uu = u * u
-        live = (1 << width) - 1
-        for m, rows in masks:
-            live &= rows[u % m]
         while live:
             low = live & -live
             v = low.bit_length() - 1 - bound

@@ -128,6 +128,24 @@ def sums_of_two_squares_mod(d: int, m: int) -> set[tuple[int, int]]:
     return out
 
 
+@lru_cache(maxsize=None)
+def squares_mod(d: int, m: int) -> frozenset[tuple[int, int]]:
+    """Every (s + t*w)^2 in Z[sqrt(d)]/m, w^2 = d, as coordinate pairs mod m."""
+    return frozenset(((s * s + d * t * t) % m, 2 * s * t % m) for s in range(m) for t in range(m))
+
+
+def mask_rows(d: int, m: int, a: int, b: int, bound: int) -> tuple[int, ...]:
+    """Row r has bit v + bound set, for v in [-bound, bound], iff
+    (a + b*w) - (r + v*w)^2 is a square in Z[sqrt(d)]/m, w^2 = d."""
+    squares = squares_mod(d, m)
+    rows = []
+    for r in range(m):
+        # the condition depends on v only mod m
+        passes = [((a - r * r - d * c * c) % m, (b - 2 * r * c) % m) in squares for c in range(m)]
+        rows.append(sum(1 << (v + bound) for v in range(-bound, bound + 1) if passes[v % m]))
+    return tuple(rows)
+
+
 def brute_two_squares(n: int) -> tuple[int, int] | None:
     for x in range(isqrt(n) + 1):
         y2 = n - x * x

@@ -7,7 +7,13 @@ import random
 
 import pytest
 
-from oracles import brute_two_squares, full_box_scan, is_representation, sums_of_two_squares_mod
+from oracles import (
+    brute_two_squares,
+    full_box_scan,
+    is_representation,
+    mask_rows,
+    sums_of_two_squares_mod,
+)
 from twosquares import search
 from twosquares.errors import ParameterError, ResourceLimitError
 from twosquares.ring import QuadInt
@@ -96,6 +102,32 @@ def test_search_matches_full_box_scan():
                 assert r.witness == witness, delta
                 if b % 2 == 0:  # odd b is refuted before any state
                     assert r.states_examined == tried, delta
+
+
+def test_search_matches_full_box_scan_at_every_small_bound():
+    # bounds 1..16 put u = -bound at every offset of the repeated mask rows
+    for d in (-14, -5, 3):
+        pairs = [(2, 0), (-7, 0), (5, 2), (-1, 0), (13, -4), (30, 8), (-20, 6)]
+        deltas = [QuadInt(a, b, d) for a, b in pairs]
+        for u, v, s, t in ((3, -2, -5, 1), (7, 4, 0, 6)):
+            x, y = QuadInt(u, v, d), QuadInt(s, t, d)
+            deltas.append(x * x + y * y)
+        for delta in deltas:
+            for bound in range(1, 17):
+                r = find_representation(delta, bound)
+                assert (r.witness, r.states_examined) == full_box_scan(delta, bound), (delta, bound)
+
+
+def test_mask_rows_match_plain_loops():
+    # bounds 1..16 give every offset -bound % m; each row at a bound is the
+    # oracle's bound-300 row cut to [-bound, bound]
+    for d in (-14, -5, -1, 2, 3):
+        for m in search.MASK_MODULI:
+            for a, b in itertools.product(range(m), repeat=2):
+                widest = mask_rows(d, m, a, b, 300)
+                for bound in (*range(1, 17), 100, 300):
+                    cut = tuple(row >> (300 - bound) & ((1 << 2 * bound + 1) - 1) for row in widest)
+                    assert search._mask_rows(d, m, a, b, bound) == cut, (d, m, a, b, bound)
 
 
 def test_norm_bound_misses_without_a_scan(monkeypatch):
