@@ -153,23 +153,16 @@ def _mul_mod(x: tuple[int, int], y: tuple[int, int], d: int, m: int) -> tuple[in
     return ((x[0] * y[0] + d * x[1] * y[1]) % m, (x[0] * y[1] + x[1] * y[0]) % m)
 
 
-def _pow_mod(x: tuple[int, int], e: int, d: int, m: int) -> tuple[int, int]:
-    result = (1, 0)
-    while e:
-        if e & 1:
-            result = _mul_mod(result, x, d, m)
-        x = _mul_mod(x, x, d, m)
-        e >>= 1
-    return result
-
-
 @lru_cache(maxsize=64)
 def _primitive_sums_mod(d: int, j: int) -> dict[tuple[int, int], tuple[tuple[int, int], tuple[int, int]]]:
     # P_j: every x0^2 + y0^2 in Z[sqrt(d)]/2^j with x0 a unit (odd norm),
-    # keyed by value, each with the first (x0, y0) that reaches it
+    # keyed by value, each with the first (x0, y0) that reaches it.  For
+    # j >= 2 a square mod 2^j depends only on its root mod 2^(j-1), and
+    # subtracting 4 from a coordinate gives an earlier tuple, so every
+    # first pair has coordinates < 4 and the roots mod 4 reach them all.
     m = 2**j
     sums: dict[tuple[int, int], tuple[tuple[int, int], tuple[int, int]]] = {}
-    for u, v, s, t in product(range(m), repeat=4):
+    for u, v, s, t in product(range(min(m, 4)), repeat=4):
         if (u * u - d * v * v) % 2:
             key = ((u * u + d * v * v + s * s + d * t * t) % m, 2 * (u * v + s * t) % m)
             sums.setdefault(key, ((u, v), (s, t)))
@@ -190,27 +183,25 @@ def _two_adic_verdict(delta: QuadInt, place: Place, v: int) -> LocalVerdict:
     w_inv = (w[0] * inv % 8, -w[1] * inv % 8)
     half = v // 2
     p3 = _primitive_sums_mod(d, 3)
-    eps = []
+    w_m, e = (1, 0), None
     for m in range(half + 1):
         # pi^(2m) = 2^m w^m divides delta, so 2^m divides both coordinates
-        e = _mul_mod((a >> m, b >> m), _pow_mod(w_inv, m, d, 8), d, 8)
+        prev, e = e, _mul_mod((a >> m, b >> m), w_m, d, 8)
         if e in p3:
             level = m + 3
-            pi_m = _pow_mod(pi, m, d, 2**level)
-            x, y = (_mul_mod(pi_m, r, d, 2**level) for r in p3[e])
+            x, y = p3[e]
+            for _ in range(m):
+                x, y = _mul_mod(x, pi, d, 2**level), _mul_mod(y, pi, d, 2**level)
             return LocalVerdict(place, True, ModularSolution(x, y, level, True), level)
-        eps.append(e)
+        w_m = _mul_mod(w_m, w_inv, d, 8)
     # Classes mod 2^k exist while 2k <= v (x = y = 0).  Past that, a class
-    # with min valuation m has m <= half and reduces eps_m to a primitive sum
-    # mod 2^(k-m); no eps_m is one mod 8, so only m = k - 2, k - 1 can leave
-    # a class, and level half + 3 is empty.
-    k = half + 1
-    while any(
-        (eps[m][0] % 2 ** (k - m), eps[m][1] % 2 ** (k - m)) in _primitive_sums_mod(d, k - m)
-        for m in (k - 2, k - 1)
-        if 0 <= m <= half
-    ):
-        k += 1
+    # with min valuation m <= half reduces eps_m to a primitive sum mod
+    # 2^(k-m), and no eps_m is one mod 8, so only m = k - 2, k - 1 can leave
+    # one.  eps_half never does: every unit mod 8 with an even sqrt(d)
+    # coordinate is in P_3, so eps_half is a unit with an odd one, or pi
+    # times a unit, which has an odd one too, while every primitive sum
+    # mod 2 or 4 has an even one.  That leaves eps_(half-1) mod 4 (prev).
+    k = half + 1 + (prev is not None and (prev[0] % 4, prev[1] % 4) in _primitive_sums_mod(d, 2))
     return LocalVerdict(place, False, None, k)
 
 
@@ -233,25 +224,11 @@ def locally_solvable(delta: QuadInt, p: int) -> LocalVerdict:
     return _finite_verdict(delta, place, numth.valuation(abs(delta.norm()), p))
 
 
-def _embedding_nonneg(a: int, b: int, d: int) -> bool:
-    # exact sign of a + b*sqrt(d) for d > 0
-    if a >= 0 and b >= 0:
-        return True
-    if a < 0 and b <= 0:
-        return False
-    if a >= 0:
-        return a * a >= d * b * b
-    return d * b * b >= a * a
-
-
 def _archimedean_verdict(delta: QuadInt) -> LocalVerdict:
-    place = Place.archimedean()
-    if delta.d < 0:
-        return LocalVerdict(place, True)
-    ok = _embedding_nonneg(delta.a, delta.b, delta.d) and _embedding_nonneg(
-        delta.a, -delta.b, delta.d
-    )
-    return LocalVerdict(place, ok)
+    # for d > 0 both real embeddings a +- b*sqrt(d) are >= 0 exactly when
+    # their sum 2a and their product N(delta) are
+    ok = delta.d < 0 or (delta.a >= 0 and delta.norm() >= 0)
+    return LocalVerdict(Place(None), ok)
 
 
 def _local_report(delta: QuadInt, factors: Iterable[tuple[int, int]]) -> tuple[bool, list[LocalVerdict]]:

@@ -318,11 +318,6 @@ def _square_class(x: int | Fraction) -> int:
     return x
 
 
-def _split_off(n: int, p: int) -> tuple[int, int]:
-    v = valuation(n, p)
-    return v, n // p**v
-
-
 def hilbert_symbol(a: int | Fraction, b: int | Fraction, place: int | None) -> int:
     """(a, b)_v: +1 if z^2 = a*x^2 + b*y^2 has a nontrivial solution over the
     completion of Q at `place`, else -1.
@@ -337,8 +332,8 @@ def hilbert_symbol(a: int | Fraction, b: int | Fraction, place: int | None) -> i
     p = place
     if not is_prime(p):
         raise ParameterError(f"hilbert symbol place must be prime or None, got {p}")
-    alpha, u = _split_off(a, p)
-    beta, w = _split_off(b, p)
+    alpha, beta = valuation(a, p), valuation(b, p)
+    u, w = a // p**alpha, b // p**beta
     if p == 2:
         exponent = ((u - 1) // 2) * ((w - 1) // 2)
         exponent += alpha * ((w * w - 1) // 8) + beta * ((u * u - 1) // 8)

@@ -128,14 +128,6 @@ class Place:
     prime: int | None
     splitting: Splitting | None = None
 
-    @classmethod
-    def archimedean(cls) -> "Place":
-        return cls(None, None)
-
-    @property
-    def is_archimedean(self) -> bool:
-        return self.prime is None
-
     def label(self) -> str:
         return "oo" if self.prime is None else str(self.prime)
 

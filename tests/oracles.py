@@ -402,3 +402,34 @@ def solvable_mod(delta: QuadInt, p: int, k: int) -> list[ModularSolution]:
     return sorted(smooth, key=lambda m: (m.level, m.x, m.y)) + [
         ModularSolution(sol[:2], sol[2:], k, False) for sol in open_
     ]
+
+
+def primitive_sums_mod(d: int, j: int) -> dict[tuple[int, int], tuple[tuple[int, int], tuple[int, int]]]:
+    """Every x0^2 + y0^2 in Z[sqrt(d)]/2^j with x0 a unit, keyed by value,
+    each with the first (x0, y0) of a plain walk over all of (Z/2^j)^4."""
+    m = 2**j
+    sums: dict[tuple[int, int], tuple[tuple[int, int], tuple[int, int]]] = {}
+    for u, v, s, t in product(range(m), repeat=4):
+        if (u * u - d * v * v) % 2:
+            key = ((u * u + d * v * v + s * s + d * t * t) % m, 2 * (u * v + s * t) % m)
+            sums.setdefault(key, ((u, v), (s, t)))
+    return sums
+
+
+def _embedding_nonneg(a: int, b: int, d: int) -> bool:
+    # exact sign of a + b*sqrt(d) for d > 0
+    if a >= 0 and b >= 0:
+        return True
+    if a < 0 and b <= 0:
+        return False
+    if a >= 0:
+        return a * a >= d * b * b
+    return d * b * b >= a * a
+
+
+def real_place_solvable(delta: QuadInt) -> bool:
+    """Whether x^2 + y^2 = delta is solvable at every real place: always for
+    d < 0, else exactly when both embeddings a +- b*sqrt(d) are >= 0."""
+    if delta.d < 0:
+        return True
+    return _embedding_nonneg(delta.a, delta.b, delta.d) and _embedding_nonneg(delta.a, -delta.b, delta.d)

@@ -5,12 +5,22 @@ import random
 
 import pytest
 
-from oracles import _descend, _is_smooth, brute_ring_classes, cutoff_depth, solvable_mod
+from oracles import (
+    _descend,
+    _is_smooth,
+    brute_ring_classes,
+    cutoff_depth,
+    primitive_sums_mod,
+    real_place_solvable,
+    solvable_mod,
+)
 from twosquares import criterion, localsolve, numth
 from twosquares.errors import ParameterError, ResourceLimitError
 from twosquares.localsolve import (
     ModularSolution,
+    _archimedean_verdict,
     _local_report,
+    _primitive_sums_mod,
     locally_solvable,
     locally_solvable_everywhere,
 )
@@ -265,11 +275,35 @@ def test_verdict_stability_and_monotonicity_small_box():
 def test_archimedean_obstruction_real_ring():
     ok, verdicts = locally_solvable_everywhere(QuadInt(-1, 0, 2))
     assert not ok
-    assert not verdicts[0].solvable and verdicts[0].place.is_archimedean
+    assert not verdicts[0].solvable and verdicts[0].place.prime is None
     ok, verdicts = locally_solvable_everywhere(QuadInt(3, 2, 2))
     assert verdicts[0].solvable
     ok, verdicts = locally_solvable_everywhere(QuadInt(1, -1, 2))
     assert not verdicts[0].solvable
+
+
+def test_real_place_matches_sign_analysis():
+    # both embeddings >= 0 iff their sum and product are
+    for d in (2, 3, 6, 7, 10, 11, 14, 15):
+        for a in range(-40, 41):
+            for b in range(-40, 41):
+                if a or b:
+                    delta = QuadInt(a, b, d)
+                    assert _archimedean_verdict(delta).solvable == real_place_solvable(delta), delta
+
+
+def test_primitive_sums_match_plain_walk():
+    # every class of d mod 8, and the roots mod 4 give the same keys and
+    # the same first pairs as the walk over all of (Z/2^j)^4
+    for d in (-14, -13, -10, -6, -5, -1, 2, 3, 6, 7, 14, 15):
+        for j in (1, 2, 3):
+            walk = primitive_sums_mod(d, j)
+            assert list(_primitive_sums_mod(d, j).items()) == list(walk.items()), (d, j)
+        # the empty 2-adic level rests on this: every unit mod 8 with an
+        # even sqrt(d) coordinate is a primitive sum
+        for u in range(1, 8, 2):
+            for v in range(0, 8, 2):
+                assert (u, v) in walk, (d, u, v)
 
 
 def test_locally_solvable_everywhere_imaginary():

@@ -112,8 +112,8 @@ def test_split_type_rejects():
 
 
 def test_place_labels():
-    assert Place.archimedean().label() == "oo"
-    assert Place.archimedean().is_archimedean
+    assert Place(None).label() == "oo"
+    assert Place(None).prime is None
     assert Place(7, split_type(7)).label() == "7"
     assert Place(7, split_type(7)).splitting is Splitting.RAMIFIED
 
