@@ -57,10 +57,10 @@ def _verdict_jsonable(verdict: LocalVerdict) -> dict:
     }
 
 
-def decision_jsonable(delta: QuadInt, decision: Decision) -> dict:
+def decision_jsonable(decision: Decision) -> dict:
     nf = decision.evidence.factorization
     return {
-        "delta": _delta_jsonable(delta),
+        "delta": _delta_jsonable(decision.delta),
         "status": decision.status.value,
         "branch": decision.evidence.branch,
         "parity_exponent": decision.evidence.parity_exponent,
@@ -80,8 +80,8 @@ def _print_verdict_text(v: LocalVerdict) -> None:
     print(f"place {v.place.label()}: {state}{depth}")
 
 
-def _print_decision_text(delta: QuadInt, decision: Decision) -> None:
-    print(f"delta: {delta}")
+def _print_decision_text(decision: Decision) -> None:
+    print(f"delta: {decision.delta}")
     print(f"status: {decision.status.value}")
     ev = decision.evidence
     if ev.branch is not None:
@@ -108,9 +108,9 @@ def _cmd_decide(args) -> int:
     else:
         decision = decide_generic(delta, search_bound=args.bound)
     if args.json:
-        print(canonical_json(decision_jsonable(delta, decision)))
+        print(canonical_json(decision_jsonable(decision)))
     else:
-        _print_decision_text(delta, decision)
+        _print_decision_text(decision)
     negative = decision.status in (
         DecisionStatus.LOCAL_OBSTRUCTION,
         DecisionStatus.GLOBAL_OBSTRUCTION,
@@ -164,14 +164,21 @@ def _cmd_hunt(args) -> int:
             workers = int(raw)
         except ValueError:
             raise ParameterError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
+    made = False
     if args.out is not None:
         # a bad path fails before the sweep; "a" leaves a file that is there
         # as it was until the sweep has succeeded
+        made = not os.path.exists(args.out)
         try:
             open(args.out, "a", encoding="utf-8").close()
         except OSError as exc:
             raise ParameterError(f"cannot write --out {args.out}: {exc.strerror}") from None
-    result = hunt_mod.hunt_counterexamples(args.box, args.bound, workers=workers)
+    try:
+        result = hunt_mod.hunt_counterexamples(args.box, args.bound, workers=workers)
+    except BaseException:
+        if made:  # a failed or interrupted sweep leaves no file behind
+            os.remove(args.out)
+        raise
     text = "".join(canonical_json(line) + "\n" for line in hunt_mod.result_lines(result))
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -5,7 +5,7 @@ other quadratic rings."""
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import isqrt
 
 from . import numth
@@ -26,27 +26,32 @@ class DecisionStatus(enum.Enum):
 
 @dataclass(frozen=True)
 class Evidence:
-    """Everything the verdict was computed from.  The two conditions of the
-    criterion are reported independently: condition_local (solvable at every
-    place) and condition_symbol (D1 nonempty, or the a1 symbol matches the
-    exponent parity)."""
+    """Everything the verdict was computed from."""
 
     factorization: NormFactorization | None = None
     parity_exponent: int | None = None
     a1_symbol: int | None = None
     branch: str | None = None
-    condition_local: bool | None = None
-    condition_symbol: bool | None = None
-    local_report: tuple[LocalVerdict, ...] = field(default_factory=tuple)
+    local_report: tuple[LocalVerdict, ...] = ()
 
 
 @dataclass(frozen=True)
 class Decision:
+    """The one record of an answer for delta; what is derived from its
+    fields is a property, not a field."""
+
+    delta: QuadInt
     status: DecisionStatus
-    witness: tuple[QuadInt, QuadInt] | None
-    witness_verified: bool
-    failing_places: tuple[Place, ...]
     evidence: Evidence
+    witness: tuple[QuadInt, QuadInt] | None = None
+
+    @property
+    def witness_verified(self) -> bool:
+        return verify_witness(self.delta, self.witness)
+
+    @property
+    def failing_places(self) -> tuple[Place, ...]:
+        return tuple(v.place for v in self.evidence.local_report if not v.solvable)
 
 
 def parity_exponent(nf: NormFactorization) -> int:
@@ -87,33 +92,24 @@ def decide_qsqrt_m14(delta: QuadInt, witness_bound: int | None = DEFAULT_WITNESS
     nf = norm_factorization(delta)
     eps = parity_exponent(nf)
     a1_symbol = numth.legendre(nf.a1, 7)
-    if nf.d1:
-        branch = "d1_nonempty"
-        condition_symbol = True
-    else:
-        branch = "parity"
-        condition_symbol = a1_symbol == (-1) ** eps
     # condition 1 walks the places of the factorization already in hand
     condition_local, report = _local_report(delta, ((2, nf.s1), (7, nf.s2), *nf.primes))
     evidence = Evidence(
         factorization=nf,
         parity_exponent=eps,
         a1_symbol=a1_symbol,
-        branch=branch,
-        condition_local=condition_local,
-        condition_symbol=condition_symbol,
+        branch="d1_nonempty" if nf.d1 else "parity",
         local_report=tuple(report),
     )
     if not condition_local:
-        failing = tuple(v.place for v in report if not v.solvable)
-        return Decision(DecisionStatus.LOCAL_OBSTRUCTION, None, False, failing, evidence)
-    if not condition_symbol:
-        return Decision(DecisionStatus.GLOBAL_OBSTRUCTION, None, False, (), evidence)
+        return Decision(delta, DecisionStatus.LOCAL_OBSTRUCTION, evidence)
+    # condition 2, the symbol condition: D1 nonempty, or (a1|7) = (-1)^eps
+    if not nf.d1 and a1_symbol != (-1) ** eps:
+        return Decision(delta, DecisionStatus.GLOBAL_OBSTRUCTION, evidence)
     witness = None
     if witness_bound is not None:
         witness = find_representation(delta, witness_bound).witness
-    verified = verify_witness(delta, witness)
-    return Decision(DecisionStatus.REPRESENTABLE, witness, verified, (), evidence)
+    return Decision(delta, DecisionStatus.REPRESENTABLE, evidence, witness)
 
 
 def _compose_two_squares(x1: int, y1: int, x2: int, y2: int) -> tuple[int, int]:
@@ -142,10 +138,9 @@ def decide_rational(n: int) -> Decision:
     if not isinstance(n, int) or n < 1:
         raise ParameterError(f"decide_rational expects a positive integer, got {n}")
     fac = numth.factorize(n)
-    bad = tuple(p for p, e in fac if p % 4 == 3 and e % 2)
+    bad = tuple(LocalVerdict(Place(p), False) for p, e in fac if p % 4 == 3 and e % 2)
     if bad:
-        failing = tuple(Place(p, None) for p in bad)
-        return Decision(DecisionStatus.LOCAL_OBSTRUCTION, None, False, failing, Evidence())
+        return Decision(QuadInt(n, 0), DecisionStatus.LOCAL_OBSTRUCTION, Evidence(local_report=bad))
     x, y = 1, 0
     for p, e in fac:
         if p % 4 == 3:
@@ -159,7 +154,7 @@ def decide_rational(n: int) -> Decision:
     if x * x + y * y != n:
         raise RuntimeError(f"{x}^2 + {y}^2 != {n}; invariant violated")
     witness = (QuadInt(x, 0, DEFAULT_D), QuadInt(y, 0, DEFAULT_D))
-    return Decision(DecisionStatus.REPRESENTABLE, witness, True, (), Evidence())
+    return Decision(QuadInt(n, 0), DecisionStatus.REPRESENTABLE, Evidence(), witness)
 
 
 def decide_generic(delta: QuadInt, search_bound: int = DEFAULT_WITNESS_BOUND) -> Decision:
@@ -167,16 +162,12 @@ def decide_generic(delta: QuadInt, search_bound: int = DEFAULT_WITNESS_BOUND) ->
     witness confirms, anything else is UNKNOWN."""
     _check_bound(search_bound)
     condition_local, report = locally_solvable_everywhere(delta)
-    evidence = Evidence(condition_local=condition_local, local_report=tuple(report))
+    evidence = Evidence(local_report=tuple(report))
     if not condition_local:
-        failing = tuple(v.place for v in report if not v.solvable)
-        return Decision(DecisionStatus.LOCAL_OBSTRUCTION, None, False, failing, evidence)
+        return Decision(delta, DecisionStatus.LOCAL_OBSTRUCTION, evidence)
     witness = find_representation(delta, search_bound).witness
-    if witness is not None:
-        return Decision(
-            DecisionStatus.REPRESENTABLE, witness, verify_witness(delta, witness), (), evidence
-        )
-    return Decision(DecisionStatus.UNKNOWN, None, False, (), evidence)
+    status = DecisionStatus.UNKNOWN if witness is None else DecisionStatus.REPRESENTABLE
+    return Decision(delta, status, evidence, witness)
 
 
 def verify_classical(n_max: int) -> bool:

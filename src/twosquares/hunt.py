@@ -8,33 +8,28 @@ from dataclasses import dataclass
 
 from .criterion import Decision, DecisionStatus, decide_qsqrt_m14
 from .errors import ParameterError
-from .localsolve import LocalVerdict, locally_solvable_everywhere
+from .localsolve import locally_solvable_everywhere
 from .ring import QuadInt
 from .search import _check_bound, find_representation, residue_obstruction, verify_witness, witness_jsonable
 
 
 @dataclass(frozen=True)
-class HunterHit:
-    """A delta passing every local test whose criterion verdict is a global
-    obstruction, with no witness below the search bound."""
-
-    delta: QuadInt
-    local_report: tuple[LocalVerdict, ...]
-    decision: Decision
-    search_exhausted_bound: int
-
-
-@dataclass(frozen=True)
 class HuntResult:
+    """The hits are the decisions for the deltas passing every local test
+    whose verdict is a global obstruction, with no witness below `bound`."""
+
     box: int
     bound: int
     records: tuple[dict, ...]
-    hits: tuple[HunterHit, ...]
-    discrepancies: tuple[dict, ...]
+    hits: tuple[Decision, ...]
     summary: dict
 
+    @property
+    def discrepancies(self) -> tuple[dict, ...]:
+        return tuple(r for r in self.records if r["discrepancy"])
 
-def _examine(a: int, b: int, bound: int) -> tuple[dict, HunterHit | None]:
+
+def _examine(a: int, b: int, bound: int) -> tuple[dict, Decision | None]:
     delta = QuadInt(a, b)
     # the sieve and the local solver are independent local tests, so a
     # sieved delta that the local solver accepts is a discrepancy
@@ -52,7 +47,7 @@ def _examine(a: int, b: int, bound: int) -> tuple[dict, HunterHit | None]:
         "sieved_mod": sieved_mod,
         "hit": False,
     }
-    hit_payload = None
+    hit_decision = None
     if a == 0:
         # outside the criterion's domain: cross-check the oracles against
         # the local solver only
@@ -69,7 +64,7 @@ def _examine(a: int, b: int, bound: int) -> tuple[dict, HunterHit | None]:
     else:
         decision = decide_qsqrt_m14(delta, witness_bound=None)
         status = decision.status
-        local_ok = decision.evidence.condition_local
+        local_ok = status is not DecisionStatus.LOCAL_OBSTRUCTION
         negative = status in (DecisionStatus.LOCAL_OBSTRUCTION, DecisionStatus.GLOBAL_OBSTRUCTION)
         hit = status is DecisionStatus.GLOBAL_OBSTRUCTION and witness is None
         record.update(
@@ -82,15 +77,15 @@ def _examine(a: int, b: int, bound: int) -> tuple[dict, HunterHit | None]:
             }
         )
         if hit:
-            hit_payload = HunterHit(delta, decision.evidence.local_report, decision, bound)
+            hit_decision = decision
     record["local_ok"] = local_ok
     record["discrepancy"] = (witness is not None and negative) or (
         sieved_mod is not None and local_ok
     )
-    return record, hit_payload
+    return record, hit_decision
 
 
-def _hunt_row(args: tuple[int, int, int]) -> list[tuple[dict, HunterHit | None]]:
+def _hunt_row(args: tuple[int, int, int]) -> list[tuple[dict, Decision | None]]:
     a, box, bound = args
     return [_examine(a, b, bound) for b in range(-box, box + 1) if (a, b) != (0, 0)]
 
@@ -114,23 +109,22 @@ def hunt_counterexamples(box: int, bound: int, workers: int = 1) -> HuntResult:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             row_results = list(pool.map(_hunt_row, rows))
     records: list[dict] = []
-    hits: list[HunterHit] = []
+    hits: list[Decision] = []
     for row in row_results:
-        for record, hit_payload in row:
+        for record, hit_decision in row:
             records.append(record)
-            if hit_payload is not None:
-                hits.append(hit_payload)
-    discrepancies = tuple(r for r in records if r["discrepancy"])
+            if hit_decision is not None:
+                hits.append(hit_decision)
     summary = {
         "kind": "summary",
         "box": box,
         "bound": bound,
         "records": len(records),
         "hits": sum(1 for r in records if r["hit"]),
-        "discrepancies": len(discrepancies),
+        "discrepancies": sum(1 for r in records if r["discrepancy"]),
         "a_zero": sum(1 for r in records if r["kind"] == "a_zero"),
     }
-    return HuntResult(box, bound, tuple(records), tuple(hits), discrepancies, summary)
+    return HuntResult(box, bound, tuple(records), tuple(hits), summary)
 
 
 def result_lines(result: HuntResult) -> list[dict]:

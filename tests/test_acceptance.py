@@ -4,6 +4,7 @@ The sweep criteria (5-8) share one session-scoped run of the |a|,|b| <= 25
 box at search bound 100; its wall time is charged to criterion 5.
 """
 
+import hashlib
 import random
 import time
 from collections import Counter
@@ -37,6 +38,10 @@ FROZEN_HITS = [
     (20, -24), (20, -18), (20, -8), (20, 8), (20, 18), (20, 24), (22, -24),
     (22, 24), (23, -6), (23, 6), (25, -24), (25, -6), (25, 6), (25, 24),
 ]
+
+# SHA-256 of the JSON lines of hunt_counterexamples(25, 100), as `hunt`
+# writes them: 2600 records, 118 hits, then the summary
+BOX25_DIGEST = "83615041c3e7a86ab038a911b65d2413309fa7bf102e314ca5c48375e9b638a8"
 
 
 def _report(n: int, detail: str, elapsed: float, budget: float) -> None:
@@ -156,9 +161,9 @@ def test_criterion_6_obstruction_exhibit(acceptance_sweep):
     assert len(hits) >= 1
     assert hits == FROZEN_HITS
     for hit in result.hits:
-        assert hit.decision.status is DecisionStatus.GLOBAL_OBSTRUCTION
-        assert all(v.solvable for v in hit.local_report)
-        assert hit.decision.witness is None
+        assert hit.status is DecisionStatus.GLOBAL_OBSTRUCTION
+        assert all(v.solvable for v in hit.evidence.local_report)
+        assert hit.witness is None
     _report(6, f"{len(hits)} local-global failures match the frozen list", 0.0, 600)
 
 
@@ -190,3 +195,9 @@ def test_criterion_8_determinism(acceptance_sweep):
     assert blob_serial.encode() == blob_parallel.encode()
     elapsed = time.perf_counter() - t0
     _report(8, "worker counts 1 and 2 give byte-identical JSON", elapsed, 600)
+
+
+def test_box25_output_is_frozen(acceptance_sweep):
+    result, _ = acceptance_sweep
+    text = "".join(canonical_json(line) + "\n" for line in result_lines(result))
+    assert hashlib.sha256(text.encode()).hexdigest() == BOX25_DIGEST

@@ -84,7 +84,7 @@ def test_decide_bound_defaults_to_the_criterion_default(capsys):
     delta = QuadInt(1764, 0)
     assert run(["decide", "--delta=1764,0", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc == decision_jsonable(delta, decide_qsqrt_m14(delta))
+    assert doc == decision_jsonable(decide_qsqrt_m14(delta))
     assert doc["witness_verified"] is True
 
 
@@ -294,6 +294,13 @@ def test_hunt_out_is_replaced_only_after_the_sweep(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_hunt_failed_sweep_leaves_no_new_out_file(tmp_path, capsys):
+    out = tmp_path / "new.jsonl"
+    assert run(["hunt", "--box", "1", "--bound", "1000", "--out", str(out)]) == 3  # over the cap
+    assert not out.exists()
+    capsys.readouterr()
+
+
 def test_symbols_zero_denominator_exits_2(capsys):
     # each error names the argument it could not read
     cases = [
@@ -338,12 +345,12 @@ def test_python_dash_m_entry_point():
     proc = _fresh_process(["decide", "--delta=-13,2", "--json"])
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
-    assert doc == decision_jsonable(QuadInt(-13, 2), decide_qsqrt_m14(QuadInt(-13, 2)))
+    assert doc == decision_jsonable(decide_qsqrt_m14(QuadInt(-13, 2)))
 
 
 def test_decision_jsonable_round_trip():
     delta = QuadInt(-13, 2)
-    doc = decision_jsonable(delta, decide_qsqrt_m14(delta))
+    doc = decision_jsonable(decide_qsqrt_m14(delta))
     text = canonical_json(doc)
     assert json.loads(text) == doc
     assert text.count(" ") == 0  # compact separators

@@ -128,7 +128,7 @@ def test_evidence_integrity():
         assert dec.evidence.branch == ("d1_nonempty" if nf.d1 else "parity")
         if dec.status is R and dec.evidence.branch == "parity":
             assert nf.d1 == ()
-        assert dec.evidence.condition_local == (dec.status is not L)
+        assert all(v.solvable for v in dec.evidence.local_report) == (dec.status is not L)
 
 
 def test_decide_factors_norm_once(monkeypatch):

@@ -44,11 +44,11 @@ def test_box5_fixed():
 def test_hit_structure():
     res = hunt_counterexamples(5, 60, workers=1)
     assert res.hits
+    assert res.bound == 60
     for hit in res.hits:
-        assert hit.decision.status is DecisionStatus.GLOBAL_OBSTRUCTION
-        assert hit.decision.evidence.condition_local is True
-        assert all(v.solvable for v in hit.local_report)
-        assert hit.search_exhausted_bound == 60
+        assert hit.status is DecisionStatus.GLOBAL_OBSTRUCTION
+        assert all(v.solvable for v in hit.evidence.local_report)
+        assert hit.witness is None
 
 
 def test_hits_conjugation_closed():
@@ -89,6 +89,13 @@ def test_worker_counts_agree():
     assert [canonical_json(r) for r in result_lines(serial)] == [
         canonical_json(r) for r in result_lines(parallel)
     ]
+
+
+def test_worker_counts_agree_on_hit_decisions():
+    # the hits come back pickled from the workers, evidence and all
+    serial = hunt_counterexamples(3, 40, workers=1)
+    assert serial.hits
+    assert hunt_counterexamples(3, 40, workers=2).hits == serial.hits
 
 
 def test_hunt_starts_no_more_workers_than_rows(monkeypatch):
