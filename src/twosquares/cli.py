@@ -11,8 +11,8 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 from . import hunt as hunt_mod
 from . import numth
@@ -28,6 +28,9 @@ from .errors import FactorizationError, ParameterError, ResourceLimitError, Unsu
 from .localsolve import LocalVerdict, locally_solvable, locally_solvable_everywhere
 from .ring import DEFAULT_D, QuadInt, parse_quadint
 from .search import find_representation, verify_witness, witness_jsonable
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 WORKERS_ENV = "TWOSQUARES_WORKERS"
 
@@ -211,6 +214,8 @@ _SYMBOLS = {
 
 
 def _symbol_argument(kind: str, name: str, text: str) -> int | Fraction | None:
+    from fractions import Fraction  # only the Hilbert symbol needs it
+
     if name == "place" and text in ("inf", "oo", "real"):
         return None
     try:

@@ -5,8 +5,8 @@ other quadratic rings."""
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from math import isqrt
+from typing import NamedTuple
 
 from . import numth
 from .errors import ParameterError
@@ -24,8 +24,7 @@ class DecisionStatus(enum.Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass(frozen=True)
-class Evidence:
+class Evidence(NamedTuple):
     """Everything the verdict was computed from."""
 
     factorization: NormFactorization | None = None
@@ -35,8 +34,7 @@ class Evidence:
     local_report: tuple[LocalVerdict, ...] = ()
 
 
-@dataclass(frozen=True)
-class Decision:
+class Decision(NamedTuple):
     """The one record of an answer for delta; what is derived from its
     fields is a property, not a field."""
 

@@ -4,7 +4,7 @@ and emit JSON-ready records.  Output is deterministic for any worker count."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .criterion import Decision, DecisionStatus, decide_qsqrt_m14
 from .errors import ParameterError
@@ -13,8 +13,7 @@ from .ring import QuadInt
 from .search import _check_bound, find_representation, residue_obstruction, verify_witness, witness_jsonable
 
 
-@dataclass(frozen=True)
-class HuntResult:
+class HuntResult(NamedTuple):
     """The hits are the decisions for the deltas passing every local test
     whose verdict is a global obstruction, with no witness below `bound`."""
 

@@ -7,17 +7,16 @@ possible even power of the uniformizer."""
 from __future__ import annotations
 
 from collections.abc import Iterable
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 from . import numth
 from .errors import ParameterError
 from .ring import Place, QuadInt, Splitting, _split_type, split_type
 
 
-@dataclass(frozen=True)
-class ModularSolution:
+class ModularSolution(NamedTuple):
     """A solution class of x^2 + y^2 = delta in Z[sqrt(d)]/p^level.
 
     x and y are coordinate pairs (u, v) standing for u + v*sqrt(d), reduced
@@ -32,8 +31,7 @@ class ModularSolution:
     smooth: bool
 
 
-@dataclass(frozen=True)
-class LocalVerdict:
+class LocalVerdict(NamedTuple):
     """Outcome of the solvability check at one place.
 
     For finite places, exhausted_at is the certificate level when solvable,

@@ -3,11 +3,14 @@ modular square roots, and Hilbert symbols over the completions of Q."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import compress
 from math import gcd, isqrt, prod
+from typing import TYPE_CHECKING
 
 from .errors import FactorizationError, ParameterError
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # The first 13 primes as strong-pseudoprime witnesses make Miller-Rabin
 # deterministic for n < _MR_BOUND (psi_13, Sorenson-Webster); without 41
@@ -213,9 +216,11 @@ def factorize(n: int) -> list[tuple[int, int]]:
 
 
 def valuation(n: int, p: int) -> int:
-    """Exponent of p in n; n must be nonzero."""
+    """Exponent of p in n; n must be nonzero and p at least 2."""
     if n == 0:
         raise ParameterError("valuation of zero is undefined")
+    if p < 2:
+        raise ParameterError(f"valuation needs a base of at least 2, got {p}")
     v = 0
     while n % p == 0:
         n //= p
@@ -309,6 +314,8 @@ def _sqrt_mod_prime(a: int, p: int) -> int:
 
 
 def _square_class(x: int | Fraction) -> int:
+    from fractions import Fraction  # only the Hilbert symbol needs it
+
     if isinstance(x, Fraction):
         x = x.numerator * x.denominator
     if not isinstance(x, int):

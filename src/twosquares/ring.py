@@ -6,8 +6,8 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from . import numth
 from .errors import ParameterError, UnsupportedInputError
@@ -24,16 +24,27 @@ def _validate_ring_parameter(d: int) -> None:
             raise ParameterError(f"d must be squarefree, got {d}")
 
 
-@dataclass(frozen=True)
-class QuadInt:
-    """a + b*sqrt(d) with integer coordinates."""
-
+# typing forbids __new__ in a NamedTuple body, so QuadInt subclasses this
+# to check d whenever one is built
+class _Coordinates(NamedTuple):
     a: int
     b: int
     d: int = DEFAULT_D
 
-    def __post_init__(self) -> None:
-        _validate_ring_parameter(self.d)
+
+class QuadInt(_Coordinates):
+    """a + b*sqrt(d) with integer coordinates."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int, d: int = DEFAULT_D) -> "QuadInt":
+        _validate_ring_parameter(d)
+        return tuple.__new__(cls, (a, b, d))
+
+    @classmethod
+    def _make(cls, iterable) -> "QuadInt":
+        # _replace builds through _make, so it validates d as well
+        return cls(*iterable)
 
     def _check_ring(self, other: "QuadInt") -> None:
         if not isinstance(other, QuadInt):
@@ -59,6 +70,10 @@ class QuadInt:
             self.a * other.b + self.b * other.a,
             self.d,
         )
+
+    # a tuple or an int on the left would otherwise concatenate or repeat
+    __radd__ = __add__
+    __rmul__ = __mul__
 
     def conj(self) -> "QuadInt":
         return QuadInt(self.a, -self.b, self.d)
@@ -120,8 +135,7 @@ def _split_type(p: int, d: int) -> Splitting:
     return Splitting.SPLIT if numth._euler_criterion(d, p) else Splitting.INERT
 
 
-@dataclass(frozen=True)
-class Place:
+class Place(NamedTuple):
     """A place of Q(sqrt(d)): finite over a rational prime, or archimedean
     (prime is None).  For rational-integer decisions splitting is None."""
 
@@ -132,8 +146,7 @@ class Place:
         return "oo" if self.prime is None else str(self.prime)
 
 
-@dataclass(frozen=True)
-class NormFactorization:
+class NormFactorization(NamedTuple):
     """Shape data of N(delta) = 2^s1 * 7^s2 * p1^e1 * ... * pg^eg together
     with the 7-part of the rational coordinate a = 7^s3 * a1 (7 not
     dividing a1) and the sign classes D1, D2, D3 of the odd primes."""

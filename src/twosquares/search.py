@@ -7,10 +7,10 @@ so a refutation by the sieve stays an independent witness against them."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, partial, reduce
 from math import isqrt
 from operator import and_
+from typing import NamedTuple
 
 from .errors import ParameterError, ResourceLimitError
 from .ring import QuadInt
@@ -31,8 +31,7 @@ MASK_MODULI = (16, 9, 5, 7, 13)
 SIEVE_MODULI = (32, 9, 7)
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(NamedTuple):
     delta: QuadInt
     bound: int
     witness: tuple[QuadInt, QuadInt] | None

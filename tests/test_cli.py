@@ -348,6 +348,27 @@ def test_python_dash_m_entry_point():
     assert doc == decision_jsonable(decide_qsqrt_m14(QuadInt(-13, 2)))
 
 
+def test_cold_decide_imports_neither_dataclasses_nor_fractions():
+    # -S keeps a site .pth file from importing these modules first
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    code = (
+        "import sys\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "from twosquares.cli import run\n"
+        "run(['decide', '--delta=-13,2', '--json'])\n"
+        "print(sorted({'dataclasses', 'inspect', 'fractions', 'decimal'} & set(sys.modules)))\n"
+        "run(['symbols', 'hilbert', '-1/2', '-3', 'oo'])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, src], capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    decide, loaded, symbol = proc.stdout.splitlines()
+    assert json.loads(decide)["status"] == "representable"
+    assert loaded == "[]"
+    assert symbol == "-1"
+
+
 def test_decision_jsonable_round_trip():
     delta = QuadInt(-13, 2)
     doc = decision_jsonable(decide_qsqrt_m14(delta))

@@ -1,11 +1,16 @@
 """Hasse-principle counterexample hunter."""
 
 import hashlib
+import pickle
+
+import pytest
 
 from twosquares import hunt
 from twosquares.cli import canonical_json
-from twosquares.criterion import DecisionStatus
+from twosquares.criterion import DecisionStatus, decide_qsqrt_m14
 from twosquares.hunt import hunt_counterexamples, result_lines
+from twosquares.ring import QuadInt
+from twosquares.search import find_representation
 
 BOX5_HITS = [
     (-4, 0), (-3, -4), (-3, 4), (-2, 0), (-1, 0),
@@ -96,6 +101,32 @@ def test_worker_counts_agree_on_hit_decisions():
     serial = hunt_counterexamples(3, 40, workers=1)
     assert serial.hits
     assert hunt_counterexamples(3, 40, workers=2).hits == serial.hits
+
+
+def test_records_are_immutable_and_pickle():
+    decision = decide_qsqrt_m14(QuadInt(-13, 2))
+    verdict = decision.evidence.local_report[1]  # the place 2, with a certificate
+    records = [
+        (decision.delta, "a"),
+        (verdict.place, "prime"),
+        (decision.evidence.factorization, "s1"),
+        (verdict.certificate, "level"),
+        (verdict, "solvable"),
+        (decision.evidence, "branch"),
+        (decision, "status"),
+        (find_representation(decision.delta, 5), "witness"),
+    ]
+    assert len({type(r) for r, _ in records}) == 8
+    for record, field in records:
+        with pytest.raises(AttributeError):
+            setattr(record, field, None)
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record and hash(copy) == hash(record)
+    # a HuntResult holds dicts, so it has no hash
+    result = hunt_counterexamples(1, 10)
+    with pytest.raises(AttributeError):
+        result.box = 2
+    assert pickle.loads(pickle.dumps(result)) == result
 
 
 def test_hunt_starts_no_more_workers_than_rows(monkeypatch):

@@ -207,6 +207,10 @@ def test_valuation():
     assert numth.valuation(720, 2) == 4
     assert numth.valuation(720, 7) == 0
     assert numth.valuation(-54, 3) == 3
+    # a base below 2 used to loop forever (1, -1) or divide by zero (0)
+    for p in (1, 0, -1):
+        with pytest.raises(ParameterError):
+            numth.valuation(8, p)
 
 
 def test_legendre_euler_vs_brute_all_residues():

@@ -53,6 +53,14 @@ def test_mixed_rings_rejected():
         QuadInt(1, 2, -14) + QuadInt(1, 2, -2)
     with pytest.raises(ParameterError):
         QuadInt(1, 2, -14) * QuadInt(1, 2, -2)
+    # neither a tuple nor an int is a ring element, on either side
+    x = QuadInt(1, 2)
+    for other in ((1, 2), (1, 2, -14), 2):
+        for op in (lambda u, v: u + v, lambda u, v: u * v):
+            with pytest.raises(TypeError):
+                op(x, other)
+            with pytest.raises(TypeError):
+                op(other, x)
 
 
 def test_ring_parameter_validation():
@@ -61,6 +69,12 @@ def test_ring_parameter_validation():
     for d in (0, 1, 4, 9, 12, 18, -4, -8, -3, -7):
         with pytest.raises(ParameterError):
             QuadInt(0, 0, d)
+    with pytest.raises(ParameterError):
+        QuadInt(0, 0)._replace(d=4)
+
+
+def test_repr_names_every_coordinate():
+    assert repr(QuadInt(-1, -1)) == "QuadInt(a=-1, b=-1, d=-14)"
 
 
 def test_str_and_parse_round_trip():
