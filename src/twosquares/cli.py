@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 negative decision (decide; failed verification for
-classical), 2 usage or parameter error, 3 factorization or resource limit.
+classical), 2 usage or parameter error, 3 factorization or resource limit,
+141 stdout closed by its reader.
 Negative coordinates need the = form, e.g. --delta=-1,0.
 """
 
@@ -24,7 +25,7 @@ from .criterion import (
     decide_qsqrt_m14,
     verify_classical,
 )
-from .errors import FactorizationError, ParameterError, ResourceLimitError, UnsupportedInputError
+from .errors import FactorizationError, ParameterError, ResourceLimitError
 from .localsolve import LocalVerdict, locally_solvable, locally_solvable_everywhere
 from .ring import DEFAULT_D, QuadInt, parse_quadint
 from .search import find_representation, verify_witness, witness_jsonable
@@ -114,10 +115,7 @@ def _cmd_decide(args) -> int:
         print(canonical_json(decision_jsonable(decision)))
     else:
         _print_decision_text(decision)
-    negative = decision.status in (
-        DecisionStatus.LOCAL_OBSTRUCTION,
-        DecisionStatus.GLOBAL_OBSTRUCTION,
-    )
+    negative = decision.status in (DecisionStatus.LOCAL_OBSTRUCTION, DecisionStatus.GLOBAL_OBSTRUCTION)
     return 1 if negative else 0
 
 
@@ -182,16 +180,16 @@ def _cmd_hunt(args) -> int:
         if made:  # a failed or interrupted sweep leaves no file behind
             os.remove(args.out)
         raise
-    text = "".join(canonical_json(line) + "\n" for line in hunt_mod.result_lines(result))
+    lines = (canonical_json(line) + "\n" for line in hunt_mod.result_lines(result))
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(lines)
         print(
             f"hunt: {result.summary['records']} records, {result.summary['hits']} hits, "
             f"{result.summary['discrepancies']} discrepancies -> {args.out}"
         )
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
     return 0
 
 
@@ -294,7 +292,7 @@ def run(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as exc:  # argparse has printed a usage error or the help
         return int(exc.code or 0)
-    except (ParameterError, UnsupportedInputError) as exc:
+    except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (FactorizationError, ResourceLimitError) as exc:
@@ -303,4 +301,11 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:  # the reader has gone, as in `twosquares hunt | head`
+        # devnull takes the rest, so the flush at interpreter exit cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141  # 128 + SIGPIPE, as a shell reports for cat
+    sys.exit(code)

@@ -75,8 +75,8 @@ def parity_exponent(nf: NormFactorization) -> int:
 
 
 def decide_qsqrt_m14(delta: QuadInt, witness_bound: int | None = DEFAULT_WITNESS_BOUND) -> Decision:
-    """Exact decision for delta = a + b*sqrt(-14) with a != 0: representable
-    as x^2 + y^2 over Z[sqrt(-14)] iff it is so at every place and the symbol
+    """Exact decision for nonzero delta = a + b*sqrt(-14): representable as
+    x^2 + y^2 over Z[sqrt(-14)] iff it is so at every place and the symbol
     condition holds.
 
     witness_bound caps the attached search for an explicit witness on
@@ -87,6 +87,10 @@ def decide_qsqrt_m14(delta: QuadInt, witness_bound: int | None = DEFAULT_WITNESS
         raise ParameterError(f"criterion applies to d={DEFAULT_D}, got d={delta.d}")
     if witness_bound is not None:
         _check_bound(witness_bound)
+    if delta.a == 0:
+        # N(b*sqrt(-14)) = 14 b^2 has odd valuation at the ramified place
+        # over 7, and 7 = 3 (mod 4), so the local walk refutes every such delta
+        return decide_generic(delta, witness_bound)
     nf = norm_factorization(delta)
     eps = parity_exponent(nf)
     a1_symbol = numth.legendre(nf.a1, 7)
@@ -155,15 +159,16 @@ def decide_rational(n: int) -> Decision:
     return Decision(QuadInt(n, 0), DecisionStatus.REPRESENTABLE, Evidence(), witness)
 
 
-def decide_generic(delta: QuadInt, search_bound: int = DEFAULT_WITNESS_BOUND) -> Decision:
+def decide_generic(delta: QuadInt, search_bound: int | None = DEFAULT_WITNESS_BOUND) -> Decision:
     """Semi-decision for arbitrary valid d: local checks can refute, a found
-    witness confirms, anything else is UNKNOWN."""
-    _check_bound(search_bound)
+    witness confirms (search_bound=None skips the search), else UNKNOWN."""
+    if search_bound is not None:
+        _check_bound(search_bound)
     condition_local, report = locally_solvable_everywhere(delta)
     evidence = Evidence(local_report=tuple(report))
     if not condition_local:
         return Decision(delta, DecisionStatus.LOCAL_OBSTRUCTION, evidence)
-    witness = find_representation(delta, search_bound).witness
+    witness = None if search_bound is None else find_representation(delta, search_bound).witness
     status = DecisionStatus.UNKNOWN if witness is None else DecisionStatus.REPRESENTABLE
     return Decision(delta, status, evidence, witness)
 

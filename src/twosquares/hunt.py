@@ -8,7 +8,6 @@ from typing import NamedTuple
 
 from .criterion import Decision, DecisionStatus, decide_qsqrt_m14
 from .errors import ParameterError
-from .localsolve import locally_solvable_everywhere
 from .ring import QuadInt
 from .search import _check_bound, find_representation, residue_obstruction, verify_witness, witness_jsonable
 
@@ -37,6 +36,11 @@ def _examine(a: int, b: int, bound: int) -> tuple[dict, Decision | None]:
     if sieved_mod is None:
         report = find_representation(delta, bound)
         witness, states = report.witness, report.states_examined
+    decision = decide_qsqrt_m14(delta, witness_bound=None)
+    status = decision.status
+    local_ok = status is not DecisionStatus.LOCAL_OBSTRUCTION
+    negative = status in (DecisionStatus.LOCAL_OBSTRUCTION, DecisionStatus.GLOBAL_OBSTRUCTION)
+    hit = status is DecisionStatus.GLOBAL_OBSTRUCTION and witness is None
     record = {
         "a": a,
         "b": b,
@@ -44,44 +48,17 @@ def _examine(a: int, b: int, bound: int) -> tuple[dict, Decision | None]:
         "witness_verified": verify_witness(delta, witness),
         "search_states": states,
         "sieved_mod": sieved_mod,
-        "hit": False,
+        # the criterion refutes every a = 0 delta at the place over 7; those
+        # records keep their own kind and a null status
+        "kind": "a_zero" if a == 0 else "criterion",
+        "status": None if a == 0 else status.value,
+        "branch": decision.evidence.branch,
+        "failing_places": [p.label() for p in decision.failing_places],
+        "hit": hit,
+        "local_ok": local_ok,
+        "discrepancy": (witness is not None and negative) or (sieved_mod is not None and local_ok),
     }
-    hit_decision = None
-    if a == 0:
-        # outside the criterion's domain: cross-check the oracles against
-        # the local solver only
-        local_ok, verdicts = locally_solvable_everywhere(delta)
-        negative = not local_ok
-        record.update(
-            {
-                "kind": "a_zero",
-                "status": None,
-                "branch": None,
-                "failing_places": [v.place.label() for v in verdicts if not v.solvable],
-            }
-        )
-    else:
-        decision = decide_qsqrt_m14(delta, witness_bound=None)
-        status = decision.status
-        local_ok = status is not DecisionStatus.LOCAL_OBSTRUCTION
-        negative = status in (DecisionStatus.LOCAL_OBSTRUCTION, DecisionStatus.GLOBAL_OBSTRUCTION)
-        hit = status is DecisionStatus.GLOBAL_OBSTRUCTION and witness is None
-        record.update(
-            {
-                "kind": "criterion",
-                "status": status.value,
-                "branch": decision.evidence.branch,
-                "failing_places": [p.label() for p in decision.failing_places],
-                "hit": hit,
-            }
-        )
-        if hit:
-            hit_decision = decision
-    record["local_ok"] = local_ok
-    record["discrepancy"] = (witness is not None and negative) or (
-        sieved_mod is not None and local_ok
-    )
-    return record, hit_decision
+    return record, decision if hit else None
 
 
 def _hunt_row(args: tuple[int, int, int]) -> list[tuple[dict, Decision | None]]:
@@ -107,19 +84,15 @@ def hunt_counterexamples(box: int, bound: int, workers: int = 1) -> HuntResult:
         from concurrent.futures import ProcessPoolExecutor  # ~9 ms, for parallel hunts only
         with ProcessPoolExecutor(max_workers=workers) as pool:
             row_results = list(pool.map(_hunt_row, rows))
-    records: list[dict] = []
-    hits: list[Decision] = []
-    for row in row_results:
-        for record, hit_decision in row:
-            records.append(record)
-            if hit_decision is not None:
-                hits.append(hit_decision)
+    pairs = [pair for row in row_results for pair in row]
+    records = [record for record, _ in pairs]
+    hits = [decision for _, decision in pairs if decision is not None]
     summary = {
         "kind": "summary",
         "box": box,
         "bound": bound,
         "records": len(records),
-        "hits": sum(1 for r in records if r["hit"]),
+        "hits": len(hits),
         "discrepancies": sum(1 for r in records if r["discrepancy"]),
         "a_zero": sum(1 for r in records if r["kind"] == "a_zero"),
     }

@@ -345,11 +345,8 @@ def hilbert_symbol(a: int | Fraction, b: int | Fraction, place: int | None) -> i
         exponent = ((u - 1) // 2) * ((w - 1) // 2)
         exponent += alpha * ((w * w - 1) // 8) + beta * ((u * u - 1) // 8)
         return -1 if exponent % 2 else 1
-    result = 1
-    if alpha * beta % 2 and p % 4 == 3:
-        result = -result
-    if beta % 2:
-        result *= legendre(u, p)
-    if alpha % 2:
-        result *= legendre(w, p)
-    return result
+    # (-1)^(alpha*beta*(p-1)/2) * (u/p)^beta * (w/p)^alpha; u and w are
+    # prime to p, proved prime above, so Euler's criterion gives each symbol
+    exponent = alpha * beta * ((p - 1) // 2)
+    exponent += (beta % 2 and not _euler_criterion(u, p)) + (alpha % 2 and not _euler_criterion(w, p))
+    return -1 if exponent % 2 else 1

@@ -39,6 +39,17 @@ def test_decide_exit_codes(capsys):
     capsys.readouterr()
 
 
+def test_decide_a_zero_is_a_local_obstruction(capsys):
+    # the place over 7 refutes every a = 0 delta; the criterion's data are null
+    assert run(["decide", "--delta=0,3", "--json"]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "local_obstruction"
+    assert {k for k in DECISION_KEYS if doc[k] is None} == {"branch", "parity_exponent", "a1_symbol", "d_sets", "witness"}
+    assert "7" in [v["place"] for v in doc["local_report"] if not v["solvable"]]
+    assert run(["decide", "--delta=0,0"]) == 2
+    capsys.readouterr()
+
+
 def test_decide_pseudoprime_norm_exits_cleanly(capsys):
     # N(delta) = 3 * 318665857834031151167461, a strong pseudoprime to the
     # prime bases 2..37 and the product of two primes that both split
@@ -331,14 +342,26 @@ def test_json_output_is_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
-def _fresh_process(argv: list[str]) -> subprocess.CompletedProcess:
+def _fresh_process(argv: list[str], stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
     # `python -m twosquares argv` in a new interpreter, on this checkout's src
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
-        [sys.executable, "-m", "twosquares", *argv], capture_output=True, text=True, env=env, timeout=60
+        [sys.executable, "-m", "twosquares", *argv], stdout=stdout, stderr=subprocess.PIPE, text=True, env=env, timeout=60
     )
+
+
+def test_closed_stdout_exits_141_without_a_traceback():
+    # as in `twosquares hunt | head`: the reader is gone before the first write
+    for argv in (["decide", "--delta=-13,2", "--json"], ["hunt", "--box", "3", "--bound", "20"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = _fresh_process(argv, stdout=write_end)
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (141, ""), argv
 
 
 def test_python_dash_m_entry_point():

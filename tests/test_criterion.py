@@ -6,7 +6,7 @@ import random
 import pytest
 
 from oracles import brute_two_squares, is_representation
-from twosquares import numth
+from twosquares import criterion, numth
 from twosquares.criterion import (
     DecisionStatus,
     decide_generic,
@@ -15,7 +15,7 @@ from twosquares.criterion import (
     parity_exponent,
     verify_classical,
 )
-from twosquares.errors import ParameterError, UnsupportedInputError
+from twosquares.errors import ParameterError, ResourceLimitError
 from twosquares.localsolve import locally_solvable_everywhere
 from twosquares.ring import QuadInt, norm_factorization
 from twosquares.search import find_representation
@@ -177,8 +177,37 @@ def test_criterion_domain():
         decide_qsqrt_m14(QuadInt(1, 1, -2))
     with pytest.raises(ParameterError):
         decide_qsqrt_m14(QuadInt(0, 0))
-    with pytest.raises(UnsupportedInputError):
-        decide_qsqrt_m14(QuadInt(0, 4))
+    dec = decide_qsqrt_m14(QuadInt(0, 4))
+    assert dec.status is L
+    assert 7 in [p.prime for p in dec.failing_places]
+    assert dec.evidence.factorization is None and dec.evidence.branch is None
+
+
+def test_criterion_refutes_a_zero_at_seven():
+    # N(b*sqrt(-14)) = 14 b^2 has odd valuation at the ramified place over 7
+    for b in [b for b in range(-500, 501) if b]:
+        delta = QuadInt(0, b)
+        dec = decide_qsqrt_m14(delta)
+        assert dec.status is L, b
+        assert 7 in [p.prime for p in dec.failing_places], b
+        assert list(dec.evidence.local_report) == locally_solvable_everywhere(delta)[1], b
+        assert dec.witness is None
+
+
+def test_decide_generic_without_a_bound_skips_the_search(monkeypatch):
+    def no_search(delta, bound):
+        raise AssertionError("searched")
+
+    monkeypatch.setattr(criterion, "find_representation", no_search)
+    assert decide_generic(QuadInt(2, 0, -5), None).status is U  # 1^2 + 1^2, unsearched
+    assert decide_generic(QuadInt(2, 0), None).status is U
+    assert decide_generic(QuadInt(3, 0, -2), None).status is L
+    assert decide_qsqrt_m14(QuadInt(0, 3), witness_bound=None).status is L
+    # an int bound is still checked before anything else
+    with pytest.raises(ParameterError):
+        decide_generic(QuadInt(3, 1, -5), 0)
+    with pytest.raises(ResourceLimitError):
+        decide_generic(QuadInt(3, 1, -5), 10**6)
 
 
 def test_decide_rational_fixed():

@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from twosquares import hunt
+from twosquares import criterion, hunt
 from twosquares.cli import canonical_json
 from twosquares.criterion import DecisionStatus, decide_qsqrt_m14
 from twosquares.hunt import hunt_counterexamples, result_lines
@@ -160,7 +160,7 @@ def test_sieve_against_local_solver_sets_discrepancy(monkeypatch):
     # force the sieve to refute everything, and the local solver to accept
     # every a = 0 delta: each record the local side accepts must be flagged
     monkeypatch.setattr(hunt, "residue_obstruction", lambda delta: 7)
-    monkeypatch.setattr(hunt, "locally_solvable_everywhere", lambda delta: (True, []))
+    monkeypatch.setattr(criterion, "locally_solvable_everywhere", lambda delta: (True, []))
     res = hunt_counterexamples(2, 10)
     assert all(r["sieved_mod"] == 7 and r["search_states"] == 0 for r in res.records)
     flagged = [r for r in res.records if r["local_ok"]]

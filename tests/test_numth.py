@@ -295,6 +295,17 @@ def test_hilbert_fixed_values():
     assert h(Fraction(1, 2), 7, 2) == 1
 
 
+def test_hilbert_proves_its_place_once(monkeypatch):
+    p = 2**89 - 1  # a Mersenne prime, 3 (mod 4)
+    # (3p, 5p)_p = (-1)^((p-1)/2) * (3/p) * (5/p)
+    expected = -numth.legendre(3, p) * numth.legendre(5, p)
+    calls = []
+    is_prime = numth.is_prime
+    monkeypatch.setattr(numth, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    assert numth.hilbert_symbol(3 * p, 5 * p, p) == expected
+    assert calls == [p]
+
+
 def test_hilbert_rejects():
     with pytest.raises(ParameterError):
         numth.hilbert_symbol(0, 3, 7)
