@@ -1,12 +1,7 @@
 """Deciding sums of two integral squares in Z[sqrt(-14)] and friends."""
 
 from .criterion import DecisionStatus, decide_generic, decide_qsqrt_m14, decide_rational
-from .errors import (
-    FactorizationError,
-    ParameterError,
-    ResourceLimitError,
-    UnsupportedInputError,
-)
+from .errors import FactorizationError, ParameterError, ResourceLimitError
 from .hunt import hunt_counterexamples
 from .localsolve import locally_solvable_everywhere
 from .numth import hilbert_symbol
@@ -28,6 +23,5 @@ __all__ = [
     "FactorizationError",
     "ParameterError",
     "ResourceLimitError",
-    "UnsupportedInputError",
     "__version__",
 ]

@@ -33,9 +33,6 @@ from .search import find_representation, verify_witness, witness_jsonable
 if TYPE_CHECKING:
     from fractions import Fraction
 
-WORKERS_ENV = "TWOSQUARES_WORKERS"
-
-
 def canonical_json(obj) -> str:
     """Deterministic rendering: sorted keys, fixed separators, no floats."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
@@ -158,13 +155,6 @@ def _cmd_search(args) -> int:
 
 
 def _cmd_hunt(args) -> int:
-    workers = args.workers
-    if workers is None:
-        raw = os.environ.get(WORKERS_ENV, "1")
-        try:
-            workers = int(raw)
-        except ValueError:
-            raise ParameterError(f"{WORKERS_ENV} must be an integer, got {raw!r}") from None
     made = False
     if args.out is not None:
         # a bad path fails before the sweep; "a" leaves a file that is there
@@ -175,7 +165,7 @@ def _cmd_hunt(args) -> int:
         except OSError as exc:
             raise ParameterError(f"cannot write --out {args.out}: {exc.strerror}") from None
     try:
-        result = hunt_mod.hunt_counterexamples(args.box, args.bound, workers=workers)
+        result = hunt_mod.hunt_counterexamples(args.box, args.bound, workers=args.workers)
     except BaseException:
         if made:  # a failed or interrupted sweep leaves no file behind
             os.remove(args.out)
@@ -263,7 +253,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("hunt", help="sweep a box for local-global counterexamples")
     p.add_argument("--box", type=int, required=True)
     p.add_argument("--bound", type=int, required=True)
-    p.add_argument("--workers", type=int, default=None, help=f"default ${WORKERS_ENV} or 1")
+    p.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
     p.add_argument("--out", default=None, help="write JSON lines here instead of stdout")
     p.set_defaults(func=_cmd_hunt)
 

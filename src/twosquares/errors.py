@@ -5,10 +5,6 @@ class ParameterError(ValueError):
     """An argument violates a documented precondition."""
 
 
-class UnsupportedInputError(ValueError):
-    """Input is well-formed but outside the decidable domain."""
-
-
 class FactorizationError(RuntimeError):
     """Factorization effort budget exhausted before completion."""
 

@@ -4,6 +4,7 @@ and emit JSON-ready records.  Output is deterministic for any worker count."""
 
 from __future__ import annotations
 
+import os
 from typing import NamedTuple
 
 from .criterion import Decision, DecisionStatus, decide_qsqrt_m14
@@ -76,8 +77,9 @@ def hunt_counterexamples(box: int, bound: int, workers: int = 1) -> HuntResult:
     if workers < 1:
         raise ParameterError(f"workers must be >= 1, got {workers}")
     rows = [(a, box, bound) for a in range(-box, box + 1)]
-    # the pool starts all its processes at once, so start no more than rows
-    workers = min(workers, len(rows))
+    # the pool starts all its processes at once, so start no more than
+    # there are rows or cores
+    workers = min(workers, len(rows), os.cpu_count() or 1)
     if workers == 1:
         row_results = [_hunt_row(r) for r in rows]
     else:

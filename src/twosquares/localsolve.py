@@ -9,6 +9,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from functools import lru_cache
 from itertools import product
+from math import gcd
 from typing import NamedTuple
 
 from . import numth
@@ -62,25 +63,6 @@ def _lift_sqrt(a: int, p: int, k: int) -> int:
     return r
 
 
-def _place_valuations(delta: QuadInt, p: int, splitting: Splitting, vn: int) -> list[int]:
-    # w-normalized valuations of delta at the places over p, for vn = v_p(N(delta))
-    if splitting is Splitting.RAMIFIED:
-        return [vn]
-    if splitting is Splitting.INERT:
-        return [vn // 2]
-    m = vn + 1
-    modulus = p**m
-    r = _lift_sqrt(delta.d, p, m)
-    vals = []
-    for c in ((delta.a + delta.b * r) % modulus, (delta.a - delta.b * r) % modulus):
-        if c == 0:
-            raise RuntimeError(f"component of {delta} vanishes mod {p}^{m}; invariant violated")
-        vals.append(numth.valuation(c, p))
-    if sum(vals) != vn:
-        raise RuntimeError(f"place valuations {vals} at p={p} miss v(N)={vn}; invariant violated")
-    return vals
-
-
 def _unit_two_squares(c: int, p: int, k: int) -> tuple[int, int]:
     # X^2 + Y^2 = c mod p^k for odd p and a unit c, with Y a unit so the pair
     # is Hensel-smooth.  Mod p there are p - (-1/p) >= 2 solutions, at most
@@ -92,13 +74,22 @@ def _unit_two_squares(c: int, p: int, k: int) -> tuple[int, int]:
     raise RuntimeError(f"no unit solution of x^2 + y^2 = {c} mod {p}; invariant violated")
 
 
-def _odd_verdict(delta: QuadInt, p: int, place: Place, vals: list[int]) -> LocalVerdict:
+def _odd_verdict(delta: QuadInt, p: int, place: Place, vn: int) -> LocalVerdict:
     # Closed form at odd p (O'Meara, Introduction to Quadratic Forms, 63;
     # Serre, A Course in Arithmetic, III): x^2 + y^2 = delta fails only at a
     # place with residue field F_p, p = 3 mod 4 and odd valuation.  Anywhere
-    # else -1 is a residue-field square and the form is XY.
+    # else -1 is a residue-field square and the form is XY.  vn = v_p(N(delta))
+    # gives the w-normalized valuations of delta at the places over p.  At a
+    # split p, Z_p[sqrt(d)] = Z_p x Z_p, and delta / p^g with g = v_p(gcd(a, b))
+    # lies in at most one of the two places (in both, p would divide it), so
+    # the two valuations are g and vn - g.
     a, b, d = delta.a, delta.b, delta.d
     splitting = place.splitting
+    if splitting is Splitting.SPLIT:
+        g = numth.valuation(gcd(a, b), p)
+        vals = [g, vn - g]
+    else:
+        vals = [vn if splitting is Splitting.RAMIFIED else vn // 2]
     depth = 2 * ((max(vals) + 1) // 2) + 1  # a split place's certificate level
     if p % 4 == 3 and splitting is not Splitting.INERT:
         odd = [v for v in vals if v % 2]
@@ -122,7 +113,8 @@ def _odd_verdict(delta: QuadInt, p: int, place: Place, vals: list[int]) -> Local
         m = p**level
         r = _lift_sqrt(d, p, level)
         parts = []
-        for c, v in zip(((a + b * r) % m, (a - b * r) % m), vals):
+        for c in ((a + b * r) % m, (a - b * r) % m):
+            v = numth.valuation(c, p)  # below level, so read mod p^level
             s = p ** (v // 2)
             cx, cy = _unit_two_squares(c // p**v, p, level - v)
             parts.append((s * cx % m, s * cy % m))
@@ -207,10 +199,9 @@ def _finite_verdict(delta: QuadInt, place: Place, vn: int) -> LocalVerdict:
     # the verdict at a finite place whose prime, splitting and v_p(N(delta))
     # the caller holds
     p = place.prime
-    vals = _place_valuations(delta, p, place.splitting, vn)
-    if p == 2:
-        return _two_adic_verdict(delta, place, vals[0])
-    return _odd_verdict(delta, p, place, vals)
+    if p == 2:  # 2 ramifies, so v_pi(delta) = v_2(N(delta))
+        return _two_adic_verdict(delta, place, vn)
+    return _odd_verdict(delta, p, place, vn)
 
 
 def locally_solvable(delta: QuadInt, p: int) -> LocalVerdict:

@@ -168,15 +168,11 @@ def factorize(n: int) -> list[tuple[int, int]]:
     composite = n > 1 and not is_prime(n)
     if composite:
         for k, block in enumerate(_BLOCK_PRODUCTS):
-            lo = k * _BLOCK
-            if lo * lo > n:
-                composite = False  # every prime below lo is divided out
-                break
             g = gcd(n, block)
             if g == 1:
                 continue
             # g is the product of the primes of this block that divide n
-            p = max(lo + 1, 3)
+            p = max(k * _BLOCK + 1, 3)
             while g > 1:
                 if p * p > g:
                     p = g

@@ -10,7 +10,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from . import numth
-from .errors import ParameterError, UnsupportedInputError
+from .errors import ParameterError
 
 DEFAULT_D = -14
 
@@ -190,7 +190,7 @@ def norm_factorization(delta: QuadInt) -> NormFactorization:
     if delta.is_zero():
         raise ParameterError("delta must be nonzero")
     if delta.a == 0:
-        raise UnsupportedInputError("delta with a = 0 is outside the criterion's domain")
+        raise ParameterError("delta with a = 0 is outside the criterion's domain")
     fac = numth.factorize(abs(delta.norm()))
     s1 = s2 = 0
     primes: list[tuple[int, int]] = []

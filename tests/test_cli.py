@@ -206,14 +206,6 @@ def test_hunt_stdout_jsonl(capsys):
     assert json.loads(lines[-1])["kind"] == "summary"
 
 
-def test_hunt_bad_workers_env_exits_2(monkeypatch, capsys):
-    monkeypatch.setenv("TWOSQUARES_WORKERS", "abc")
-    assert run(["hunt", "--box", "1", "--bound", "10"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: TWOSQUARES_WORKERS")
-
-
 def test_symbols(capsys):
     cases = [
         (["symbols", "legendre", "3", "7"], "-1"),

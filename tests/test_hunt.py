@@ -131,6 +131,7 @@ def test_records_are_immutable_and_pickle():
 
 def test_hunt_starts_no_more_workers_than_rows(monkeypatch):
     import concurrent.futures
+    import os
 
     sizes = []
 
@@ -150,10 +151,18 @@ def test_hunt_starts_no_more_workers_than_rows(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     serial = result_lines(hunt_counterexamples(1, 10))
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
     assert result_lines(hunt_counterexamples(1, 10, workers=5000)) == serial
     assert result_lines(hunt_counterexamples(1, 10, workers=2)) == serial
     assert hunt_counterexamples(0, 10, workers=5000).records == ()
     assert sizes == [3, 2]  # box 1 has 3 rows; box 0 has one, run serially
+    # no more than there are cores, and serial when their number is unknown
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert result_lines(hunt_counterexamples(1, 10, workers=5000)) == serial
+    assert sizes == [3, 2, 2]
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert result_lines(hunt_counterexamples(1, 10, workers=5000)) == serial
+    assert sizes == [3, 2, 2]
 
 
 def test_sieve_against_local_solver_sets_discrepancy(monkeypatch):

@@ -2,9 +2,11 @@
 the descent oracle."""
 
 import random
+from math import gcd
 
 import pytest
 
+import oracles
 from oracles import (
     _descend,
     _is_smooth,
@@ -159,6 +161,39 @@ def test_odd_place_closed_form_agrees_with_descent():
                     assert _is_smooth(sol, cert.level, p, d, split_type(p, d)), (a, b, d, p)
 
 
+def test_split_valuations_come_from_the_coordinate_gcd():
+    # delta = p^g * (a + b*sqrt(d)) with a + b*r = 0 mod p^k, r^2 = d: one
+    # place over p gets valuation at least g + k, the other exactly g.  Only
+    # the oracles' brute-force lift reads the valuations.
+    seen = set()
+    for d in (-14, -5, 7, 2):
+        for p in (3, 5, 7, 11, 13, 17):
+            if oracles._splitting(p, d) is not Splitting.SPLIT:
+                continue
+            for g in range(4):
+                for k in range(5):
+                    r = oracles._lift_sqrt(d, p, k)
+                    for b0, sign, t in ((1, 1, 0), (2, -1, 1), (p + 1, 1, 1)):
+                        a0 = (-sign * b0 * r) % p**k + t * p**k
+                        delta = QuadInt(p**g * a0, p**g * b0, d)
+                        vals = oracles._place_valuations(delta, p)
+                        assert min(vals) == oracles._valuation(gcd(delta.a, delta.b), p) == g, (delta, p)
+                        assert max(vals) >= g + k, (delta, p)
+                        verdict = locally_solvable(delta, p)
+                        assert verdict.solvable == (p % 4 == 1 or all(v % 2 == 0 for v in vals)), (delta, p)
+                        seen.add((p % 4, verdict.solvable))
+                        if not verdict.solvable:
+                            assert verdict.exhausted_at == min(v for v in vals if v % 2) + 1, (delta, p)
+                            assert verdict.certificate is None
+                            continue
+                        cert = verdict.certificate
+                        assert verdict.exhausted_at == cert.level == 2 * ((max(vals) + 1) // 2) + 1, (delta, p)
+                        _check_congruences(delta, cert, p)
+                        assert _is_smooth((*cert.x, *cert.y), cert.level, p, d, Splitting.SPLIT), (delta, p)
+    # both closed forms (p = 1 mod 4, and CRT at p = 3 mod 4) and the failure
+    assert seen == {(1, True), (3, True), (3, False)}
+
+
 def test_two_adic_closed_form_agrees_with_descent():
     # the p = 2 verdict comes from a closed form; the descent must reach the
     # same verdict at the same level, and certify the same level on success
@@ -215,7 +250,7 @@ def test_square_roots_do_not_reprove_primes(monkeypatch):
     r = localsolve._lift_sqrt.__wrapped__(-1, split, 3)
     assert (r * r + 1) % split**3 == 0
     delta = QuadInt(inert, 0)
-    verdict = localsolve._odd_verdict(delta, inert, Place(inert, Splitting.INERT), [1])
+    verdict = localsolve._odd_verdict(delta, inert, Place(inert, Splitting.INERT), 2)
     assert verdict.solvable
     _check_congruences(delta, verdict.certificate, inert)
     x, y = criterion._prime_two_squares(split)

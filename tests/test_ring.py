@@ -6,7 +6,7 @@ import pytest
 
 from oracles import brute_legendre, quartic_residues
 from twosquares import numth, ring
-from twosquares.errors import ParameterError, UnsupportedInputError
+from twosquares.errors import ParameterError
 from twosquares.ring import (
     DEFAULT_D,
     NormFactorization,
@@ -209,7 +209,7 @@ def test_partition_does_not_reprove_primes(monkeypatch):
 def test_norm_factorization_rejects():
     with pytest.raises(ParameterError):
         norm_factorization(QuadInt(0, 0))
-    with pytest.raises(UnsupportedInputError):
+    with pytest.raises(ParameterError, match="a = 0"):
         norm_factorization(QuadInt(0, 3))
     with pytest.raises(ParameterError):
         norm_factorization(QuadInt(1, 1, -2))
