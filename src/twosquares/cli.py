@@ -1,8 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success, 1 negative decision (decide; failed verification for
-classical), 2 usage or parameter error, 3 factorization or resource limit,
-141 stdout closed by its reader.
+classical), 2 usage or parameter error, or output that cannot be written,
+3 factorization or resource limit, 141 stdout closed by its reader.
 Negative coordinates need the = form, e.g. --delta=-1,0.
 """
 
@@ -59,17 +59,15 @@ def _verdict_jsonable(verdict: LocalVerdict) -> dict:
 
 
 def decision_jsonable(decision: Decision) -> dict:
-    nf = decision.evidence.factorization
+    nf = decision.factorization
     return {
         "delta": _delta_jsonable(decision.delta),
         "status": decision.status.value,
-        "branch": decision.evidence.branch,
-        "parity_exponent": decision.evidence.parity_exponent,
-        "a1_symbol": decision.evidence.a1_symbol,
-        "d_sets": None
-        if nf is None
-        else {"d1": list(nf.d1), "d2": list(nf.d2), "d3": list(nf.d3)},
-        "local_report": [_verdict_jsonable(v) for v in decision.evidence.local_report],
+        "branch": decision.branch,
+        "parity_exponent": None if nf is None else nf.parity_exponent,
+        "a1_symbol": None if nf is None else nf.a1_symbol,
+        "d_sets": None if nf is None else {"d1": list(nf.d1), "d2": list(nf.d2), "d3": list(nf.d3)},
+        "local_report": [_verdict_jsonable(v) for v in decision.local_report],
         "witness": witness_jsonable(decision.witness),
         "witness_verified": decision.witness_verified,
     }
@@ -84,15 +82,13 @@ def _print_verdict_text(v: LocalVerdict) -> None:
 def _print_decision_text(decision: Decision) -> None:
     print(f"delta: {decision.delta}")
     print(f"status: {decision.status.value}")
-    ev = decision.evidence
-    if ev.branch is not None:
-        print(f"branch: {ev.branch}")
-        print(f"parity_exponent: {ev.parity_exponent}")
-        print(f"a1_symbol: {ev.a1_symbol}")
-    if ev.factorization is not None:
-        nf = ev.factorization
+    nf = decision.factorization
+    if nf is not None:
+        print(f"branch: {decision.branch}")
+        print(f"parity_exponent: {nf.parity_exponent}")
+        print(f"a1_symbol: {nf.a1_symbol}")
         print(f"d_sets: D1={list(nf.d1)} D2={list(nf.d2)} D3={list(nf.d3)}")
-    for v in ev.local_report:
+    for v in decision.local_report:
         _print_verdict_text(v)
     if decision.failing_places:
         print("failing_places: " + " ".join(p.label() for p in decision.failing_places))
@@ -294,8 +290,12 @@ def main() -> None:
     try:
         code = run()
         sys.stdout.flush()
-    except BrokenPipeError:  # the reader has gone, as in `twosquares hunt | head`
+    except OSError as exc:
         # devnull takes the rest, so the flush at interpreter exit cannot fail
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        code = 141  # 128 + SIGPIPE, as a shell reports for cat
+        if isinstance(exc, BrokenPipeError):  # the reader has gone, as in `twosquares hunt | head`
+            code = 141  # 128 + SIGPIPE, as a shell reports for cat
+        else:  # a write that failed, e.g. to a full device
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
     sys.exit(code)

@@ -24,24 +24,21 @@ class DecisionStatus(enum.Enum):
     UNKNOWN = "unknown"
 
 
-class Evidence(NamedTuple):
-    """Everything the verdict was computed from."""
-
-    factorization: NormFactorization | None = None
-    parity_exponent: int | None = None
-    a1_symbol: int | None = None
-    branch: str | None = None
-    local_report: tuple[LocalVerdict, ...] = ()
-
-
 class Decision(NamedTuple):
-    """The one record of an answer for delta; what is derived from its
-    fields is a property, not a field."""
+    """The one record of an answer for delta: the fields are what the
+    verdict was computed from; what derives from them is a property."""
 
     delta: QuadInt
     status: DecisionStatus
-    evidence: Evidence
+    local_report: tuple[LocalVerdict, ...] = ()
+    factorization: NormFactorization | None = None
     witness: tuple[QuadInt, QuadInt] | None = None
+
+    @property
+    def branch(self) -> str | None:
+        if self.factorization is None:
+            return None
+        return "d1_nonempty" if self.factorization.d1 else "parity"
 
     @property
     def witness_verified(self) -> bool:
@@ -49,29 +46,7 @@ class Decision(NamedTuple):
 
     @property
     def failing_places(self) -> tuple[Place, ...]:
-        return tuple(v.place for v in self.evidence.local_report if not v.solvable)
-
-
-def parity_exponent(nf: NormFactorization) -> int:
-    """s1 + s2 + s3 + sum of e_i/2 over D2 + sum of e_i over D3.
-
-    The s3 term (7-adic valuation of the rational coordinate) is required:
-    without it the symbol condition misclassifies every representable delta
-    whose a-coordinate carries an odd power of 7, e.g. -7 = (-7)^2 +
-    (-2*sqrt(-14))^2.  Validated against generated representables.
-    """
-    exps = dict(nf.primes)
-    for p in nf.d2:
-        # norms have even valuation at D2 primes: -14 is a nonresidue there
-        if exps[p] % 2:
-            raise RuntimeError(f"odd exponent {exps[p]} at D2 prime {p}; invariant violated")
-    return (
-        nf.s1
-        + nf.s2
-        + nf.s3
-        + sum(exps[p] // 2 for p in nf.d2)
-        + sum(exps[p] for p in nf.d3)
-    )
+        return tuple(v.place for v in self.local_report if not v.solvable)
 
 
 def decide_qsqrt_m14(delta: QuadInt, witness_bound: int | None = DEFAULT_WITNESS_BOUND) -> Decision:
@@ -92,26 +67,16 @@ def decide_qsqrt_m14(delta: QuadInt, witness_bound: int | None = DEFAULT_WITNESS
         # over 7, and 7 = 3 (mod 4), so the local walk refutes every such delta
         return decide_generic(delta, witness_bound)
     nf = norm_factorization(delta)
-    eps = parity_exponent(nf)
-    a1_symbol = numth.legendre(nf.a1, 7)
     # condition 1 walks the places of the factorization already in hand
     condition_local, report = _local_report(delta, ((2, nf.s1), (7, nf.s2), *nf.primes))
-    evidence = Evidence(
-        factorization=nf,
-        parity_exponent=eps,
-        a1_symbol=a1_symbol,
-        branch="d1_nonempty" if nf.d1 else "parity",
-        local_report=tuple(report),
-    )
+    report = tuple(report)
     if not condition_local:
-        return Decision(delta, DecisionStatus.LOCAL_OBSTRUCTION, evidence)
+        return Decision(delta, DecisionStatus.LOCAL_OBSTRUCTION, report, nf)
     # condition 2, the symbol condition: D1 nonempty, or (a1|7) = (-1)^eps
-    if not nf.d1 and a1_symbol != (-1) ** eps:
-        return Decision(delta, DecisionStatus.GLOBAL_OBSTRUCTION, evidence)
-    witness = None
-    if witness_bound is not None:
-        witness = find_representation(delta, witness_bound).witness
-    return Decision(delta, DecisionStatus.REPRESENTABLE, evidence, witness)
+    if not nf.d1 and nf.a1_symbol != (-1) ** nf.parity_exponent:
+        return Decision(delta, DecisionStatus.GLOBAL_OBSTRUCTION, report, nf)
+    witness = None if witness_bound is None else find_representation(delta, witness_bound).witness
+    return Decision(delta, DecisionStatus.REPRESENTABLE, report, nf, witness)
 
 
 def _compose_two_squares(x1: int, y1: int, x2: int, y2: int) -> tuple[int, int]:
@@ -142,7 +107,7 @@ def decide_rational(n: int) -> Decision:
     fac = numth.factorize(n)
     bad = tuple(LocalVerdict(Place(p), False) for p, e in fac if p % 4 == 3 and e % 2)
     if bad:
-        return Decision(QuadInt(n, 0), DecisionStatus.LOCAL_OBSTRUCTION, Evidence(local_report=bad))
+        return Decision(QuadInt(n, 0), DecisionStatus.LOCAL_OBSTRUCTION, bad)
     x, y = 1, 0
     for p, e in fac:
         if p % 4 == 3:
@@ -153,10 +118,11 @@ def decide_rational(n: int) -> Decision:
         for _ in range(e):
             x, y = _compose_two_squares(x, y, *base)
     x, y = sorted((abs(x), abs(y)), reverse=True)
-    if x * x + y * y != n:
-        raise RuntimeError(f"{x}^2 + {y}^2 != {n}; invariant violated")
     witness = (QuadInt(x, 0, DEFAULT_D), QuadInt(y, 0, DEFAULT_D))
-    return Decision(QuadInt(n, 0), DecisionStatus.REPRESENTABLE, Evidence(), witness)
+    decision = Decision(QuadInt(n, 0), DecisionStatus.REPRESENTABLE, witness=witness)
+    if not decision.witness_verified:
+        raise RuntimeError(f"{x}^2 + {y}^2 != {n}; invariant violated")
+    return decision
 
 
 def decide_generic(delta: QuadInt, search_bound: int | None = DEFAULT_WITNESS_BOUND) -> Decision:
@@ -165,12 +131,12 @@ def decide_generic(delta: QuadInt, search_bound: int | None = DEFAULT_WITNESS_BO
     if search_bound is not None:
         _check_bound(search_bound)
     condition_local, report = locally_solvable_everywhere(delta)
-    evidence = Evidence(local_report=tuple(report))
+    report = tuple(report)
     if not condition_local:
-        return Decision(delta, DecisionStatus.LOCAL_OBSTRUCTION, evidence)
+        return Decision(delta, DecisionStatus.LOCAL_OBSTRUCTION, report)
     witness = None if search_bound is None else find_representation(delta, search_bound).witness
     status = DecisionStatus.UNKNOWN if witness is None else DecisionStatus.REPRESENTABLE
-    return Decision(delta, status, evidence, witness)
+    return Decision(delta, status, report, witness=witness)
 
 
 def verify_classical(n_max: int) -> bool:
@@ -185,6 +151,6 @@ def verify_classical(n_max: int) -> bool:
             return False
         if decision.status is DecisionStatus.REPRESENTABLE:
             x, y = decision.witness
-            if x.b or y.b or x.a * x.a + y.a * y.a != n:
+            if x.b or y.b or not decision.witness_verified:
                 return False
     return True

@@ -53,7 +53,7 @@ def _examine(a: int, b: int, bound: int) -> tuple[dict, Decision | None]:
         # records keep their own kind and a null status
         "kind": "a_zero" if a == 0 else "criterion",
         "status": None if a == 0 else status.value,
-        "branch": decision.evidence.branch,
+        "branch": decision.branch,
         "failing_places": [p.label() for p in decision.failing_places],
         "hit": hit,
         "local_ok": local_ok,

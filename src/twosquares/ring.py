@@ -160,6 +160,20 @@ class NormFactorization(NamedTuple):
     d2: tuple[int, ...]
     d3: tuple[int, ...]
 
+    @property
+    def parity_exponent(self) -> int:
+        """eps = s1 + s2 + s3 + sum of e_i/2 over D2 + sum of e_i over D3.
+        Without s3 the symbol condition misclassifies every representable
+        delta whose a has an odd power of 7, e.g. -7 = (-7)^2 + (-2*sqrt(-14))^2."""
+        exps = dict(self.primes)
+        d2_halves = sum(exps[p] // 2 for p in self.d2)
+        return self.s1 + self.s2 + self.s3 + d2_halves + sum(exps[p] for p in self.d3)
+
+    @property
+    def a1_symbol(self) -> int:
+        """The Legendre symbol (a1|7); a1 is prime to 7, so it is +1 or -1."""
+        return 1 if numth._euler_criterion(self.a1, 7) else -1
+
 
 def _partition(primes: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], ...]:
     # the primes come from factorize and are prime to 14, so each symbol is
@@ -204,4 +218,8 @@ def norm_factorization(delta: QuadInt) -> NormFactorization:
     s3 = numth.valuation(delta.a, 7)
     a1 = delta.a // 7**s3
     d1, d2, d3 = _partition(tuple(primes))
+    for p, e in primes:
+        # norms have even valuation at D2 primes: -14 is a nonresidue there
+        if e % 2 and p in d2:
+            raise RuntimeError(f"odd exponent {e} at D2 prime {p}; invariant violated")
     return NormFactorization(s1, s2, tuple(primes), s3, a1, d1, d2, d3)

@@ -162,7 +162,7 @@ def test_criterion_6_obstruction_exhibit(acceptance_sweep):
     assert hits == FROZEN_HITS
     for hit in result.hits:
         assert hit.status is DecisionStatus.GLOBAL_OBSTRUCTION
-        assert all(v.solvable for v in hit.evidence.local_report)
+        assert all(v.solvable for v in hit.local_report)
         assert hit.witness is None
     _report(6, f"{len(hits)} local-global failures match the frozen list", 0.0, 600)
 

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from twosquares import hunt, search
+from twosquares import hunt, numth, search
 from twosquares.cli import _build_parser, canonical_json, decision_jsonable, run
 from twosquares.criterion import decide_qsqrt_m14
 from twosquares.ring import QuadInt
@@ -66,7 +66,22 @@ def test_usage_errors_exit_2(capsys):
     assert run(["decide", "--d", "12", "--delta=1,0"]) == 2
     # leading-dash values need the --delta=a,b form
     assert run(["decide", "--delta", "-13,2"]) == 2
+    assert run(["hunt", "--box", "-1", "--bound", "5"]) == 2
+    assert run(["hunt", "--box", "1", "--bound", "5", "--workers", "0"]) == 2
     capsys.readouterr()
+
+
+def test_unfactored_norm_exits_3(monkeypatch, capsys):
+    # N = 965113 * 1036631: both primes are past the trial bound, so only
+    # rho splits the norm
+    argv = ["decide", "--delta=1000233,1", "--json"]
+    assert run(argv) == 1
+    assert json.loads(capsys.readouterr().out)["status"] == "local_obstruction"
+    monkeypatch.setattr(numth, "_RHO_BUDGET", 1 << 6)
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: could not factor 1000466054303 within effort budget\n"
 
 
 def test_decide_json_schema(capsys):
@@ -354,6 +369,16 @@ def test_closed_stdout_exits_141_without_a_traceback():
         finally:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (141, ""), argv
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_failed_write_exits_2_without_a_traceback():
+    # every write to /dev/full fails with ENOSPC, on stdout as with --out
+    for argv in (["decide", "--delta=-13,2", "--json"], ["hunt", "--box", "1", "--bound", "5", "--out", "/dev/full"]):
+        with open("/dev/full", "w") as full:
+            proc = _fresh_process(argv, stdout=full)
+        assert proc.returncode == 2, argv
+        assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr, argv
 
 
 def test_python_dash_m_entry_point():

@@ -5,14 +5,13 @@ import random
 
 import pytest
 
-from oracles import brute_two_squares, is_representation
+from oracles import brute_legendre, brute_two_squares, is_representation
 from twosquares import criterion, numth
 from twosquares.criterion import (
     DecisionStatus,
     decide_generic,
     decide_qsqrt_m14,
     decide_rational,
-    parity_exponent,
     verify_classical,
 )
 from twosquares.errors import ParameterError, ResourceLimitError
@@ -40,7 +39,7 @@ def test_parity_exponent_fixed():
         (17, 17): 2,
     }
     for (a, b), expected in cases.items():
-        assert parity_exponent(norm_factorization(QuadInt(a, b))) == expected, (a, b)
+        assert norm_factorization(QuadInt(a, b)).parity_exponent == expected, (a, b)
 
 
 def test_decide_fixed_statuses():
@@ -60,7 +59,7 @@ def test_decide_fixed_statuses():
     }
     for (a, b), (status, branch) in cases.items():
         dec = decide_qsqrt_m14(QuadInt(a, b))
-        assert (dec.status, dec.evidence.branch) == (status, branch), (a, b)
+        assert (dec.status, dec.branch) == (status, branch), (a, b)
         if status is R:
             assert dec.witness is not None and dec.witness_verified
             assert is_representation(QuadInt(a, b), *dec.witness)
@@ -122,13 +121,40 @@ def test_evidence_integrity():
     for _ in range(200):
         delta = QuadInt(rng.choice([n for n in range(-30, 31) if n]), rng.randrange(-30, 31))
         dec = decide_qsqrt_m14(delta, witness_bound=None)
-        nf = dec.evidence.factorization
-        assert dec.evidence.parity_exponent == parity_exponent(nf)
-        assert dec.evidence.a1_symbol == numth.legendre(nf.a1, 7)
-        assert dec.evidence.branch == ("d1_nonempty" if nf.d1 else "parity")
-        if dec.status is R and dec.evidence.branch == "parity":
-            assert nf.d1 == ()
-        assert all(v.solvable for v in dec.evidence.local_report) == (dec.status is not L)
+        nf = dec.factorization
+        assert nf == norm_factorization(delta)
+        exps = dict(nf.primes)
+        eps = nf.s1 + nf.s2 + nf.s3 + sum(exps[p] // 2 for p in nf.d2) + sum(exps[p] for p in nf.d3)
+        assert nf.parity_exponent == eps
+        assert nf.a1_symbol == brute_legendre(nf.a1, 7)
+        assert dec.branch == ("d1_nonempty" if nf.d1 else "parity")
+        if dec.status is not L:
+            symbol_holds = bool(nf.d1) or nf.a1_symbol == (-1) ** eps
+            assert (dec.status is R) == symbol_holds, delta
+        assert all(v.solvable for v in dec.local_report) == (dec.status is not L)
+
+
+def test_negation_pairs_representables_with_global_obstructions():
+    # -1 is a sum of two squares at every completion, so delta and -delta
+    # are refuted locally alike; negation keeps N, s3 and the D-sets and
+    # flips (a1|7), so with D1 empty exactly one of the two is representable
+    pairs = 0
+    for a in range(1, 26):
+        for b in range(-25, 26):
+            dec = decide_qsqrt_m14(QuadInt(a, b), witness_bound=None)
+            neg = decide_qsqrt_m14(QuadInt(-a, -b), witness_bound=None)
+            nf = dec.factorization
+            assert neg.factorization == nf._replace(a1=-nf.a1), (a, b)
+            assert neg.factorization.a1_symbol == -nf.a1_symbol, (a, b)
+            assert (dec.status is L) == (neg.status is L), (a, b)
+            if dec.status is L:
+                continue
+            if nf.d1:
+                assert dec.status is neg.status is R, (a, b)
+            else:
+                assert {dec.status, neg.status} == {R, G}, (a, b)
+                pairs += 1
+    assert pairs == 118
 
 
 def test_decide_factors_norm_once(monkeypatch):
@@ -154,8 +180,8 @@ def test_decide_places_match_relevant_primes():
                 continue
             delta = QuadInt(a, b)
             dec = decide_qsqrt_m14(delta, witness_bound=None)
-            assert list(dec.evidence.local_report) == locally_solvable_everywhere(delta)[1], delta
-            labels = [v.place.label() for v in dec.evidence.local_report]
+            assert list(dec.local_report) == locally_solvable_everywhere(delta)[1], delta
+            labels = [v.place.label() for v in dec.local_report]
             assert ("7" in labels) == (delta.norm() % 7 == 0), delta
 
 
@@ -164,11 +190,11 @@ def test_decide_large_odd_places():
     # cutoff depth past the descent's depth limit
     dec = decide_qsqrt_m14(QuadInt(1511, 0))
     assert dec.status is G
-    verdict = dec.evidence.local_report[-1]
+    verdict = dec.local_report[-1]
     assert verdict.place.prime == 1511 and verdict.solvable and verdict.exhausted_at == 1
     dec = decide_qsqrt_m14(QuadInt(3**70, 0), witness_bound=None)
     assert dec.status is R
-    verdict = dec.evidence.local_report[-1]
+    verdict = dec.local_report[-1]
     assert verdict.place.prime == 3 and verdict.solvable and verdict.exhausted_at == 71
 
 
@@ -180,7 +206,7 @@ def test_criterion_domain():
     dec = decide_qsqrt_m14(QuadInt(0, 4))
     assert dec.status is L
     assert 7 in [p.prime for p in dec.failing_places]
-    assert dec.evidence.factorization is None and dec.evidence.branch is None
+    assert dec.factorization is None and dec.branch is None
 
 
 def test_criterion_refutes_a_zero_at_seven():
@@ -190,7 +216,7 @@ def test_criterion_refutes_a_zero_at_seven():
         dec = decide_qsqrt_m14(delta)
         assert dec.status is L, b
         assert 7 in [p.prime for p in dec.failing_places], b
-        assert list(dec.evidence.local_report) == locally_solvable_everywhere(delta)[1], b
+        assert list(dec.local_report) == locally_solvable_everywhere(delta)[1], b
         assert dec.witness is None
 
 

@@ -8,6 +8,7 @@ import pytest
 from twosquares import criterion, hunt
 from twosquares.cli import canonical_json
 from twosquares.criterion import DecisionStatus, decide_qsqrt_m14
+from twosquares.errors import ParameterError
 from twosquares.hunt import hunt_counterexamples, result_lines
 from twosquares.ring import QuadInt
 from twosquares.search import find_representation
@@ -52,8 +53,19 @@ def test_hit_structure():
     assert res.bound == 60
     for hit in res.hits:
         assert hit.status is DecisionStatus.GLOBAL_OBSTRUCTION
-        assert all(v.solvable for v in hit.evidence.local_report)
+        assert all(v.solvable for v in hit.local_report)
         assert hit.witness is None
+
+
+def test_negated_hits_have_verified_witnesses(acceptance_sweep):
+    # negation flips (a1|7) and keeps the rest of the criterion's data, so
+    # the negation of each hit is representable; the search proves it
+    result, _ = acceptance_sweep
+    records = {(r["a"], r["b"]): r for r in result.records}
+    assert len(result.hits) == 118
+    for hit in result.hits:
+        negation = records[(-hit.delta.a, -hit.delta.b)]
+        assert negation["witness_verified"], hit.delta
 
 
 def test_hits_conjugation_closed():
@@ -86,6 +98,10 @@ def test_empty_box():
     res = hunt_counterexamples(0, 10)
     assert res.records == () and res.hits == ()
     assert res.summary["records"] == 0
+    with pytest.raises(ParameterError, match="box"):
+        hunt_counterexamples(-1, 10)
+    with pytest.raises(ParameterError, match="workers"):
+        hunt_counterexamples(1, 10, workers=0)
 
 
 def test_worker_counts_agree():
@@ -97,7 +113,7 @@ def test_worker_counts_agree():
 
 
 def test_worker_counts_agree_on_hit_decisions():
-    # the hits come back pickled from the workers, evidence and all
+    # the hits come back pickled from the workers, local reports and all
     serial = hunt_counterexamples(3, 40, workers=1)
     assert serial.hits
     assert hunt_counterexamples(3, 40, workers=2).hits == serial.hits
@@ -105,18 +121,17 @@ def test_worker_counts_agree_on_hit_decisions():
 
 def test_records_are_immutable_and_pickle():
     decision = decide_qsqrt_m14(QuadInt(-13, 2))
-    verdict = decision.evidence.local_report[1]  # the place 2, with a certificate
+    verdict = decision.local_report[1]  # the place 2, with a certificate
     records = [
         (decision.delta, "a"),
         (verdict.place, "prime"),
-        (decision.evidence.factorization, "s1"),
+        (decision.factorization, "s1"),
         (verdict.certificate, "level"),
         (verdict, "solvable"),
-        (decision.evidence, "branch"),
         (decision, "status"),
         (find_representation(decision.delta, 5), "witness"),
     ]
-    assert len({type(r) for r, _ in records}) == 8
+    assert len({type(r) for r, _ in records}) == 7
     for record, field in records:
         with pytest.raises(AttributeError):
             setattr(record, field, None)

@@ -15,7 +15,7 @@ from oracles import (
     square_residues,
 )
 from twosquares import numth
-from twosquares.errors import ParameterError
+from twosquares.errors import FactorizationError, ParameterError
 
 ODD_PRIMES_200 = [p for p in range(3, 200) if all(p % q for q in range(2, p))]
 
@@ -121,6 +121,13 @@ def test_rho_divides_out_each_prime_it_finds(monkeypatch):
         splits.clear()
         assert numth.factorize(p**3 * big) == [(p, 3), (big, 1)]
         assert len(splits) == 1, p
+
+
+def test_rho_gives_up_past_its_budget(monkeypatch):
+    # both primes are past the trial bound, and 2^6 steps cannot find either
+    monkeypatch.setattr(numth, "_RHO_BUDGET", 1 << 6)
+    with pytest.raises(FactorizationError, match="within effort budget"):
+        numth.factorize(1000003 * 1000033)
 
 
 # psi_12 and psi_13: the least strong pseudoprimes to the first 12 and the

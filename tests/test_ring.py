@@ -174,6 +174,14 @@ def test_norm_factorization_reconstructs():
         assert 7 ** nf.s3 * nf.a1 == a and nf.a1 % 7 != 0
 
 
+def test_norm_factorization_checks_even_d2_exponents(monkeypatch):
+    # -14 is a nonresidue mod a D2 prime, so no norm has an odd exponent
+    # there; a factorization claiming one is refused
+    monkeypatch.setattr(numth, "factorize", lambda n: [(17, 1)])
+    with pytest.raises(RuntimeError, match="D2 prime 17"):
+        norm_factorization(QuadInt(1, 1))
+
+
 def test_partition_matches_symbol_definitions():
     rng = random.Random(205)
     for _ in range(200):
