@@ -25,9 +25,9 @@ from .criterion import (
     decide_qsqrt_m14,
     verify_classical,
 )
-from .errors import FactorizationError, ParameterError, ResourceLimitError
+from .errors import ParameterError, ResourceLimitError
 from .localsolve import LocalVerdict, locally_solvable, locally_solvable_everywhere
-from .ring import DEFAULT_D, QuadInt, parse_quadint
+from .ring import DEFAULT_D, parse_quadint
 from .search import find_representation, verify_witness, witness_jsonable
 
 if TYPE_CHECKING:
@@ -36,10 +36,6 @@ if TYPE_CHECKING:
 def canonical_json(obj) -> str:
     """Deterministic rendering: sorted keys, fixed separators, no floats."""
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
-
-
-def _delta_jsonable(delta: QuadInt) -> dict:
-    return {"a": delta.a, "b": delta.b, "d": delta.d}
 
 
 def _certificate_jsonable(cert) -> dict | None:
@@ -61,7 +57,7 @@ def _verdict_jsonable(verdict: LocalVerdict) -> dict:
 def decision_jsonable(decision: Decision) -> dict:
     nf = decision.factorization
     return {
-        "delta": _delta_jsonable(decision.delta),
+        "delta": decision.delta._asdict(),
         "status": decision.status.value,
         "branch": decision.branch,
         "parity_exponent": None if nf is None else nf.parity_exponent,
@@ -120,7 +116,7 @@ def _cmd_local(args) -> int:
         _, verdicts = locally_solvable_everywhere(delta)
     if args.json:
         payload = {
-            "delta": _delta_jsonable(delta),
+            "delta": delta._asdict(),
             "verdicts": [_verdict_jsonable(v) for v in verdicts],
         }
         print(canonical_json(payload))
@@ -135,15 +131,15 @@ def _cmd_search(args) -> int:
     report = find_representation(delta, args.bound)
     if args.json:
         payload = {
-            "delta": _delta_jsonable(delta),
-            "bound": report.bound,
+            "delta": delta._asdict(),
+            "bound": args.bound,
             "witness": witness_jsonable(report.witness),
             "witness_verified": verify_witness(delta, report.witness),
             "states_examined": report.states_examined,
         }
         print(canonical_json(payload))
     elif report.witness is None:
-        print(f"no witness within bound {report.bound} ({report.states_examined} states)")
+        print(f"no witness within bound {args.bound} ({report.states_examined} states)")
     else:
         x, y = report.witness
         print(f"witness: x={x} y={y} ({report.states_examined} states)")
@@ -278,10 +274,12 @@ def run(argv: list[str] | None = None) -> int:
         return args.func(args)
     except SystemExit as exc:  # argparse has printed a usage error or the help
         return int(exc.code or 0)
-    except ParameterError as exc:
+    except BrokenPipeError:  # main sets the exit code 141 and silences stdout
+        raise
+    except (ParameterError, OSError) as exc:  # OSError: a write that failed
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FactorizationError, ResourceLimitError) as exc:
+    except ResourceLimitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

@@ -5,9 +5,10 @@ class ParameterError(ValueError):
     """An argument violates a documented precondition."""
 
 
-class FactorizationError(RuntimeError):
-    """Factorization effort budget exhausted before completion."""
-
-
 class ResourceLimitError(RuntimeError):
-    """A solver would exceed its configured depth or state budget."""
+    """A computation would pass one of its limits: the search-bound cap or
+    the Pollard rho budget of factorization."""
+
+
+class FactorizationError(ResourceLimitError):
+    """Factorization effort budget exhausted before completion."""

@@ -74,7 +74,7 @@ def _unit_two_squares(c: int, p: int, k: int) -> tuple[int, int]:
     raise RuntimeError(f"no unit solution of x^2 + y^2 = {c} mod {p}; invariant violated")
 
 
-def _odd_verdict(delta: QuadInt, p: int, place: Place, vn: int) -> LocalVerdict:
+def _odd_verdict(delta: QuadInt, place: Place, vn: int) -> LocalVerdict:
     # Closed form at odd p (O'Meara, Introduction to Quadratic Forms, 63;
     # Serre, A Course in Arithmetic, III): x^2 + y^2 = delta fails only at a
     # place with residue field F_p, p = 3 mod 4 and odd valuation.  Anywhere
@@ -84,7 +84,7 @@ def _odd_verdict(delta: QuadInt, p: int, place: Place, vn: int) -> LocalVerdict:
     # lies in at most one of the two places (in both, p would divide it), so
     # the two valuations are g and vn - g.
     a, b, d = delta.a, delta.b, delta.d
-    splitting = place.splitting
+    p, splitting = place.prime, place.splitting
     if splitting is Splitting.SPLIT:
         g = numth.valuation(gcd(a, b), p)
         vals = [g, vn - g]
@@ -198,10 +198,9 @@ def _two_adic_verdict(delta: QuadInt, place: Place, v: int) -> LocalVerdict:
 def _finite_verdict(delta: QuadInt, place: Place, vn: int) -> LocalVerdict:
     # the verdict at a finite place whose prime, splitting and v_p(N(delta))
     # the caller holds
-    p = place.prime
-    if p == 2:  # 2 ramifies, so v_pi(delta) = v_2(N(delta))
+    if place.prime == 2:  # 2 ramifies, so v_pi(delta) = v_2(N(delta))
         return _two_adic_verdict(delta, place, vn)
-    return _odd_verdict(delta, p, place, vn)
+    return _odd_verdict(delta, place, vn)
 
 
 def locally_solvable(delta: QuadInt, p: int) -> LocalVerdict:

@@ -235,9 +235,7 @@ def legendre(a: int, p: int) -> int:
     """Legendre symbol (a/p) for an odd prime p: one of -1, 0, 1."""
     if p == 2 or not is_prime(p):
         raise ParameterError(f"legendre requires an odd prime modulus, got {p}")
-    if a % p == 0:
-        return 0
-    return 1 if _euler_criterion(a, p) else -1
+    return jacobi(a, p)
 
 
 def jacobi(a: int, n: int) -> int:
@@ -271,20 +269,9 @@ def is_quartic_residue(a: int, p: int) -> bool:
     return _euler_criterion(a, p, 4)
 
 
-def sqrt_mod_prime(a: int, p: int) -> int:
-    """A square root of a modulo an odd prime p, by Tonelli-Shanks.
-
-    Deterministic: uses the smallest quadratic nonresidue, and returns the
-    smaller of the two roots.
-    """
-    if legendre(a, p) != 1:
-        raise ParameterError(f"{a} is not a nonzero square mod {p}")
-    return _sqrt_mod_prime(a, p)
-
-
 def _sqrt_mod_prime(a: int, p: int) -> int:
-    # sqrt_mod_prime without its checks, for an odd prime p and a nonzero
-    # square a mod p that the caller already holds as such.
+    # The smaller square root of a mod the odd prime p, by Tonelli-Shanks;
+    # unchecked, so callers pass a nonzero square a that they hold as such.
     a %= p
     if p % 4 == 3:
         r = pow(a, (p + 1) // 4, p)

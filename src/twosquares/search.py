@@ -32,8 +32,6 @@ SIEVE_MODULI = (32, 9, 7)
 
 
 class SearchReport(NamedTuple):
-    delta: QuadInt
-    bound: int
     witness: tuple[QuadInt, QuadInt] | None
     states_examined: int
 
@@ -155,12 +153,12 @@ def find_representation(delta: QuadInt, bound: int) -> SearchReport:
     d = delta.d
     if delta.is_zero():
         zero = QuadInt(0, 0, d)
-        return SearchReport(delta, bound, (zero, zero), 0)
+        return SearchReport((zero, zero), 0)
     if delta.b % 2:
-        return SearchReport(delta, bound, None, 0)
+        return SearchReport(None, 0)
     width = 2 * bound + 1
     if d < 0 and delta.norm() > (2 * (1 - d) * bound * bound) ** 2:
-        return SearchReport(delta, bound, None, width * width)
+        return SearchReport(None, width * width)
     a, b = delta.a, delta.b
     # Each modulus's rows repeated and sliced to rows[u % m] for u = -bound..0;
     # the lazy maps AND them one u at a time, so a hit stops the ANDs too.
@@ -181,16 +179,14 @@ def find_representation(delta: QuadInt, bound: int) -> SearchReport:
             if r * r == n and (root := _square_root(w, z, r, d, bound)) is not None:
                 s, t = root
                 witness = (QuadInt(u, v, d), QuadInt(s, t, d))
-                return SearchReport(delta, bound, witness, (u + bound) * width + v + bound + 1)
+                return SearchReport(witness, (u + bound) * width + v + bound + 1)
             live ^= low
-    return SearchReport(delta, bound, None, width * width)
+    return SearchReport(None, width * width)
 
 
 def two_square_search(n: int) -> tuple[int, int] | None:
     """Smallest-x representation n = x^2 + y^2 over nonnegative integers,
-    or None."""
-    if n < 0:
-        return None
+    for n >= 0, or None."""
     for x in range(isqrt(n) + 1):
         w = n - x * x
         y = isqrt(w)

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from twosquares import hunt, numth, search
+from twosquares import criterion, hunt, numth, search
 from twosquares.cli import _build_parser, canonical_json, decision_jsonable, run
 from twosquares.criterion import decide_qsqrt_m14
 from twosquares.ring import QuadInt
@@ -134,6 +134,13 @@ def test_local_json(capsys):
     assert run(["local", "--d=-3022", "--delta=1511,0", "--prime", "1511", "--json"]) == 0
     verdict = json.loads(capsys.readouterr().out)["verdicts"][0]
     assert verdict["solvable"] is True and verdict["certificate"]["level"] == 2
+    assert run(["local", "--delta=1,1"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "place oo: solvable",
+        "place 2: unsolvable (depth 1)",
+        "place 3: unsolvable (depth 2)",
+        "place 5: solvable (depth 3)",
+    ]
 
 
 @pytest.mark.parametrize(
@@ -165,6 +172,8 @@ def test_search_json_and_text(capsys):
     assert doc["witness"] == {"x": {"a": -1, "b": 0}, "y": {"a": -1, "b": 0}}
     assert doc["states_examined"] == 2
     assert doc["witness_verified"] is True
+    assert run(["search", "--delta=2,0", "--bound", "1"]) == 0
+    assert capsys.readouterr().out == "witness: x=-1+0*sqrt(-14) y=-1+0*sqrt(-14) (2 states)\n"
     assert run(["search", "--delta=3,1", "--bound", "5"]) == 0
     assert "no witness" in capsys.readouterr().out
 
@@ -198,9 +207,17 @@ def test_decide_high_powers_of_two(capsys):
         assert json.loads(capsys.readouterr().out)["status"] == "representable"
 
 
-def test_classical_exit_codes(capsys):
+def test_classical_exit_codes(monkeypatch, capsys):
     assert run(["classical", "--max", "100"]) == 0
     assert run(["classical", "--max", "0"]) == 2
+    capsys.readouterr()
+    assert run(["classical", "--max", "100", "--json"]) == 0
+    assert capsys.readouterr().out == '{"max":100,"verified":true}\n'
+    # a search that misses n = 5 disagrees with the classical decision
+    search = criterion.two_square_search
+    monkeypatch.setattr(criterion, "two_square_search", lambda n: None if n == 5 else search(n))
+    assert criterion.verify_classical(4) and not criterion.verify_classical(10)
+    assert run(["classical", "--max", "10"]) == 1
     capsys.readouterr()
 
 
@@ -372,13 +389,18 @@ def test_closed_stdout_exits_141_without_a_traceback():
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-def test_failed_write_exits_2_without_a_traceback():
+def test_failed_write_exits_2_without_a_traceback(capsys):
     # every write to /dev/full fails with ENOSPC, on stdout as with --out
     for argv in (["decide", "--delta=-13,2", "--json"], ["hunt", "--box", "1", "--bound", "5", "--out", "/dev/full"]):
         with open("/dev/full", "w") as full:
             proc = _fresh_process(argv, stdout=full)
         assert proc.returncode == 2, argv
         assert proc.stderr.startswith("error: ") and "Traceback" not in proc.stderr, argv
+    # run maps the failure itself, so a caller in-process gets 2, not OSError
+    assert run(["hunt", "--box", "1", "--bound", "5", "--out", "/dev/full"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
 
 
 def test_python_dash_m_entry_point():

@@ -285,9 +285,18 @@ def test_decide_rational_rejects():
             decide_rational(n)
 
 
-def test_verify_classical_small():
+def test_verify_classical_small(monkeypatch):
     assert verify_classical(1)
     assert verify_classical(500)
+    # (4 + sqrt(-14))^2 + (4 - sqrt(-14))^2 = 4 is a verified witness, but
+    # not one over Z
+    witness = (QuadInt(4, 1), QuadInt(4, -1))
+    planted = criterion.Decision(QuadInt(4, 0), R, witness=witness)
+    assert planted.witness_verified
+    rational = criterion.decide_rational
+    monkeypatch.setattr(criterion, "decide_rational", lambda n: planted if n == 4 else rational(n))
+    assert verify_classical(3)
+    assert not verify_classical(4)
 
 
 def test_decide_generic_fixed():

@@ -250,7 +250,7 @@ def test_square_roots_do_not_reprove_primes(monkeypatch):
     r = localsolve._lift_sqrt.__wrapped__(-1, split, 3)
     assert (r * r + 1) % split**3 == 0
     delta = QuadInt(inert, 0)
-    verdict = localsolve._odd_verdict(delta, inert, Place(inert, Splitting.INERT), 2)
+    verdict = localsolve._odd_verdict(delta, Place(inert, Splitting.INERT), 2)
     assert verdict.solvable
     _check_congruences(delta, verdict.certificate, inert)
     x, y = criterion._prime_two_squares(split)

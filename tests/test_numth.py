@@ -130,6 +130,21 @@ def test_rho_gives_up_past_its_budget(monkeypatch):
         numth.factorize(1000003 * 1000033)
 
 
+def test_rho_backtracks_when_the_batched_gcd_reaches_n():
+    # for these n one batch of |x - y| products picks up both prime factors,
+    # so its gcd is n and Brent's backtrack walks the batch again step by step
+    assert numth._brent_rho(55, 1, 1 << 21) == 5
+    assert numth._brent_rho(35, 1, 1 << 21) is None  # the backtrack ends at n too
+
+
+def test_rho_retries_with_the_next_constant():
+    # both primes lie past the last trial-division block, which ends at
+    # 67583, and c = 1 finds neither, so the split comes from c = 2
+    n = 67709 * 67759
+    assert numth._brent_rho(n, 1, 1 << 21) is None
+    assert numth.factorize(n) == [(67709, 1), (67759, 1)]
+
+
 # psi_12 and psi_13: the least strong pseudoprimes to the first 12 and the
 # first 13 prime bases (Sorenson & Webster)
 PSI_12 = 318665857834031151167461
@@ -162,6 +177,10 @@ def test_strong_lucas_pseudoprimes_below_2e5():
         162133, 176399, 176471, 189419, 192509, 197801,
     ]
     assert all(numth._strong_lucas_probable_prime(n) for n in range(3, limit, 2) if not composite[n])
+    # the A217255 filter above leaves out the squares, which the test rejects
+    # outright
+    assert not numth._strong_lucas_probable_prime(9)
+    assert not numth._strong_lucas_probable_prime(65537**2)
 
 
 def test_block_products_are_the_odd_primes_of_each_block():
@@ -214,10 +233,11 @@ def test_valuation():
     assert numth.valuation(720, 2) == 4
     assert numth.valuation(720, 7) == 0
     assert numth.valuation(-54, 3) == 3
-    # a base below 2 used to loop forever (1, -1) or divide by zero (0)
-    for p in (1, 0, -1):
+    # a base below 2 used to loop forever (1, -1) or divide by zero (0),
+    # and zero has no valuation
+    for n, p in ((8, 1), (8, 0), (8, -1), (0, 3)):
         with pytest.raises(ParameterError):
-            numth.valuation(8, p)
+            numth.valuation(n, p)
 
 
 def test_legendre_euler_vs_brute_all_residues():
@@ -276,18 +296,11 @@ def test_quartic_residue_rejects():
 def test_sqrt_mod_prime_all_squares():
     for p in ODD_PRIMES_200:
         for a in square_residues(p):
-            r = numth.sqrt_mod_prime(a, p)
+            r = numth._sqrt_mod_prime(a, p)
             assert r * r % p == a
             assert r <= p - r  # canonical smaller root
-    assert numth.sqrt_mod_prime(2, 7) == 3
-    assert numth.sqrt_mod_prime(-1, 13) == 5
-
-
-def test_sqrt_mod_prime_rejects_nonsquares():
-    with pytest.raises(ParameterError):
-        numth.sqrt_mod_prime(3, 7)
-    with pytest.raises(ParameterError):
-        numth.sqrt_mod_prime(0, 7)
+    assert numth._sqrt_mod_prime(2, 7) == 3
+    assert numth._sqrt_mod_prime(-1, 13) == 5
 
 
 def test_hilbert_fixed_values():
@@ -318,6 +331,8 @@ def test_hilbert_rejects():
         numth.hilbert_symbol(0, 3, 7)
     with pytest.raises(ParameterError):
         numth.hilbert_symbol(3, 5, 4)
+    with pytest.raises(ParameterError):
+        numth.hilbert_symbol(1.5, 1, 2)
 
 
 def test_hilbert_laws():
