@@ -68,19 +68,14 @@ def decide_qsqrt_m14(delta: QuadInt, witness_bound: int | None = DEFAULT_WITNESS
         return decide_generic(delta, witness_bound)
     nf = norm_factorization(delta)
     # condition 1 walks the places of the factorization already in hand
-    condition_local, report = _local_report(delta, ((2, nf.s1), (7, nf.s2), *nf.primes))
-    report = tuple(report)
-    if not condition_local:
+    report = _local_report(delta, nf.factors)
+    if not all(v.solvable for v in report):
         return Decision(delta, DecisionStatus.LOCAL_OBSTRUCTION, report, nf)
     # condition 2, the symbol condition: D1 nonempty, or (a1|7) = (-1)^eps
     if not nf.d1 and nf.a1_symbol != (-1) ** nf.parity_exponent:
         return Decision(delta, DecisionStatus.GLOBAL_OBSTRUCTION, report, nf)
     witness = None if witness_bound is None else find_representation(delta, witness_bound).witness
     return Decision(delta, DecisionStatus.REPRESENTABLE, report, nf, witness)
-
-
-def _compose_two_squares(x1: int, y1: int, x2: int, y2: int) -> tuple[int, int]:
-    return x1 * x2 - y1 * y2, x1 * y2 + y1 * x2
 
 
 def _prime_two_squares(p: int) -> tuple[int, int]:
@@ -114,9 +109,9 @@ def decide_rational(n: int) -> Decision:
             scale = p ** (e // 2)
             x, y = x * scale, y * scale
             continue
-        base = (1, 1) if p == 2 else _prime_two_squares(p)
-        for _ in range(e):
-            x, y = _compose_two_squares(x, y, *base)
+        u, v = (1, 1) if p == 2 else _prime_two_squares(p)
+        for _ in range(e):  # (x + yi)(u + vi)
+            x, y = x * u - y * v, x * v + y * u
     x, y = sorted((abs(x), abs(y)), reverse=True)
     witness = (QuadInt(x, 0, DEFAULT_D), QuadInt(y, 0, DEFAULT_D))
     decision = Decision(QuadInt(n, 0), DecisionStatus.REPRESENTABLE, witness=witness)

@@ -15,10 +15,8 @@ from .search import _check_bound, find_representation, residue_obstruction, veri
 
 class HuntResult(NamedTuple):
     """The hits are the decisions for the deltas passing every local test
-    whose verdict is a global obstruction, with no witness below `bound`."""
+    whose verdict is a global obstruction, with no witness below the bound."""
 
-    box: int
-    bound: int
     records: tuple[dict, ...]
     hits: tuple[Decision, ...]
     summary: dict
@@ -35,8 +33,7 @@ def _examine(a: int, b: int, bound: int) -> tuple[dict, Decision | None]:
     sieved_mod = residue_obstruction(delta)
     witness, states = None, 0
     if sieved_mod is None:
-        report = find_representation(delta, bound)
-        witness, states = report.witness, report.states_examined
+        witness, states = find_representation(delta, bound)
     decision = decide_qsqrt_m14(delta, witness_bound=None)
     status = decision.status
     local_ok = status is not DecisionStatus.LOCAL_OBSTRUCTION
@@ -98,7 +95,7 @@ def hunt_counterexamples(box: int, bound: int, workers: int = 1) -> HuntResult:
         "discrepancies": sum(1 for r in records if r["discrepancy"]),
         "a_zero": sum(1 for r in records if r["kind"] == "a_zero"),
     }
-    return HuntResult(box, bound, tuple(records), tuple(hits), summary)
+    return HuntResult(tuple(records), tuple(hits), summary)
 
 
 def result_lines(result: HuntResult) -> list[dict]:

@@ -14,7 +14,7 @@ from typing import NamedTuple
 
 from . import numth
 from .errors import ParameterError
-from .ring import Place, QuadInt, Splitting, _split_type, split_type
+from .ring import Place, QuadInt, Splitting, _split_type
 
 
 class ModularSolution(NamedTuple):
@@ -195,21 +195,22 @@ def _two_adic_verdict(delta: QuadInt, place: Place, v: int) -> LocalVerdict:
     return LocalVerdict(place, False, None, k)
 
 
-def _finite_verdict(delta: QuadInt, place: Place, vn: int) -> LocalVerdict:
-    # the verdict at a finite place whose prime, splitting and v_p(N(delta))
-    # the caller holds
-    if place.prime == 2:  # 2 ramifies, so v_pi(delta) = v_2(N(delta))
+def _place_verdict(delta: QuadInt, p: int, vn: int) -> LocalVerdict:
+    # the verdict at the place over a prime p, given vn = v_p(N(delta))
+    place = Place(p, _split_type(p, delta.d))
+    if p == 2:  # 2 ramifies, so v_pi(delta) = v_2(N(delta))
         return _two_adic_verdict(delta, place, vn)
     return _odd_verdict(delta, place, vn)
 
 
 def locally_solvable(delta: QuadInt, p: int) -> LocalVerdict:
     """Decide solvability of x^2 + y^2 = delta over both completions of
-    Z[sqrt(d)] above p, in closed form."""
+    Z[sqrt(d)] above the prime p, in closed form."""
     if delta.is_zero():
         raise ParameterError("delta must be nonzero")
-    place = Place(p, split_type(p, delta.d))
-    return _finite_verdict(delta, place, numth.valuation(abs(delta.norm()), p))
+    if not numth.is_prime(p):
+        raise ParameterError(f"locally_solvable requires a prime, got {p}")
+    return _place_verdict(delta, p, numth.valuation(abs(delta.norm()), p))
 
 
 def _archimedean_verdict(delta: QuadInt) -> LocalVerdict:
@@ -219,15 +220,13 @@ def _archimedean_verdict(delta: QuadInt) -> LocalVerdict:
     return LocalVerdict(Place(None), ok)
 
 
-def _local_report(delta: QuadInt, factors: Iterable[tuple[int, int]]) -> tuple[bool, list[LocalVerdict]]:
-    # The verdicts at oo, 2 and every p with e > 0, in ascending order, for
-    # the (p, e) pairs of a factorization of |N(delta)|: only these places
-    # can obstruct, and each e is v_p(N(delta)).
-    exps = {2: 0} | {p: e for p, e in factors if e}
-    verdicts = [_archimedean_verdict(delta)]
-    for p in sorted(exps):
-        verdicts.append(_finite_verdict(delta, Place(p, _split_type(p, delta.d)), exps[p]))
-    return all(v.solvable for v in verdicts), verdicts
+def _local_report(delta: QuadInt, factors: Iterable[tuple[int, int]]) -> tuple[LocalVerdict, ...]:
+    # The verdicts at oo, 2 and every p of factorize's sorted (p, e) pairs
+    # of |N(delta)|, in that order: only these places can obstruct, and
+    # each e is v_p(N(delta)).  2 can obstruct even when it does not divide
+    # N(delta), so the walk always visits it.
+    walk = {2: 0} | dict(factors)
+    return (_archimedean_verdict(delta), *(_place_verdict(delta, p, e) for p, e in walk.items()))
 
 
 def locally_solvable_everywhere(delta: QuadInt) -> tuple[bool, list[LocalVerdict]]:
@@ -235,4 +234,5 @@ def locally_solvable_everywhere(delta: QuadInt) -> tuple[bool, list[LocalVerdict
     dividing N(delta)."""
     if delta.is_zero():
         raise ParameterError("delta must be nonzero")
-    return _local_report(delta, numth.factorize(abs(delta.norm())))
+    verdicts = _local_report(delta, numth.factorize(abs(delta.norm())))
+    return all(v.solvable for v in verdicts), list(verdicts)

@@ -36,15 +36,15 @@ def _odd_prime_flags(limit: int) -> bytearray:
 
 
 # Trial division runs over blocks [k*_BLOCK, (k+1)*_BLOCK) of the integers,
-# as gcds with the product of each block's odd primes; the 33 blocks cover
-# [0, _TRIAL_BOUND].  The products are made once, at import (~13 KB).  Past
+# as gcds with the product of each block's odd primes; the 32 blocks cover
+# [0, _TRIAL_BOUND).  The products are made once, at import (~13 KB).  Past
 # the last block Brent rho takes over: it finds a prime p in about sqrt(p)
 # steps, no dearer than a block walk to 10^6, and needs no table.
 _BLOCK = 2048
-_flags = _odd_prime_flags(_TRIAL_BOUND + _BLOCK - 1)
+_flags = _odd_prime_flags(_TRIAL_BOUND)
 _BLOCK_PRODUCTS = tuple(
     prod(compress(range(lo + 1, lo + _BLOCK, 2), _flags[lo // 2 : (lo + _BLOCK) // 2]))
-    for lo in range(0, _TRIAL_BOUND + 1, _BLOCK)
+    for lo in range(0, _TRIAL_BOUND, _BLOCK)
 )
 _SMALL_PRIMES = (2, *compress(range(1, 312, 2), _flags))  # the first 64 primes
 del _flags
@@ -152,7 +152,7 @@ def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 as a sorted list of (p, e) pairs.
 
     After the 2s, trial division up to 2^16 by gcds of n with the products
-    of the odd primes of the 33 2048-wide blocks, made at import, in
+    of the odd primes of the 32 2048-wide blocks, made at import, in
     ascending order; a block whose gcd exceeds 1 is split by trial division.
     It stops at the first cofactor that is 1 or passes `is_prime`.  Brent
     rho splits a composite cofactor left after the last block, and each

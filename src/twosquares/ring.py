@@ -119,17 +119,9 @@ class Splitting(enum.Enum):
     RAMIFIED = "ramified"
 
 
-def split_type(p: int, d: int = DEFAULT_D) -> Splitting:
-    """Behaviour of the rational prime p in Z[sqrt(d)]."""
-    _validate_ring_parameter(d)
-    if not numth.is_prime(p):
-        raise ParameterError(f"split_type requires a prime, got {p}")
-    return _split_type(p, d)
-
-
 def _split_type(p: int, d: int) -> Splitting:
-    # split_type without its checks, for a prime p the caller already holds
-    # as such and a valid d
+    # how the prime p behaves in Z[sqrt(d)], for a p the caller holds as
+    # prime and the d of a QuadInt, so already valid
     if (2 * d) % p == 0:
         return Splitting.RAMIFIED
     return Splitting.SPLIT if numth._euler_criterion(d, p) else Splitting.INERT
@@ -147,13 +139,12 @@ class Place(NamedTuple):
 
 
 class NormFactorization(NamedTuple):
-    """Shape data of N(delta) = 2^s1 * 7^s2 * p1^e1 * ... * pg^eg together
-    with the 7-part of the rational coordinate a = 7^s3 * a1 (7 not
-    dividing a1) and the sign classes D1, D2, D3 of the odd primes."""
+    """|N(delta)| = 2^s1 * 7^s2 * p1^e1 * ... * pg^eg as factorize's sorted
+    (p, e) pairs, with no pair for 2 or 7 when s1 or s2 is 0; the 7-part
+    of the rational coordinate a = 7^s3 * a1 (7 not dividing a1); and the
+    sign classes D1, D2, D3 of the odd primes other than 7."""
 
-    s1: int
-    s2: int
-    primes: tuple[tuple[int, int], ...]
+    factors: tuple[tuple[int, int], ...]
     s3: int
     a1: int
     d1: tuple[int, ...]
@@ -165,9 +156,9 @@ class NormFactorization(NamedTuple):
         """eps = s1 + s2 + s3 + sum of e_i/2 over D2 + sum of e_i over D3.
         Without s3 the symbol condition misclassifies every representable
         delta whose a has an odd power of 7, e.g. -7 = (-7)^2 + (-2*sqrt(-14))^2."""
-        exps = dict(self.primes)
+        exps = dict(self.factors)
         d2_halves = sum(exps[p] // 2 for p in self.d2)
-        return self.s1 + self.s2 + self.s3 + d2_halves + sum(exps[p] for p in self.d3)
+        return exps.get(2, 0) + exps.get(7, 0) + self.s3 + d2_halves + sum(exps[p] for p in self.d3)
 
     @property
     def a1_symbol(self) -> int:
@@ -175,13 +166,13 @@ class NormFactorization(NamedTuple):
         return 1 if numth._euler_criterion(self.a1, 7) else -1
 
 
-def _partition(primes: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], ...]:
-    # the primes come from factorize and are prime to 14, so each symbol is
-    # +1 or -1 and Euler's criterion needs no primality check; every class
-    # needs (-1/p) = +1, that is p = 1 (mod 4)
+def _partition(factors: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], ...]:
+    # every class needs (-1/p) = +1, that is p = 1 (mod 4), which leaves out
+    # 2 and 7; the rest come from factorize and are prime to 14, so each
+    # symbol is +1 or -1 and Euler's criterion needs no primality check
     d1, d2, d3 = [], [], []
-    for p, _ in primes:
-        if p % 4 == 3:
+    for p, _ in factors:
+        if p % 4 != 1:
             continue
         r14, r7 = numth._euler_criterion(14, p), numth._euler_criterion(7, p)
         if r14 and not r7:
@@ -194,7 +185,7 @@ def _partition(primes: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], ..
 
 
 def norm_factorization(delta: QuadInt) -> NormFactorization:
-    """Extract (s1, s2, primes; s3, a1; D1, D2, D3) from delta over Z[sqrt(-14)].
+    """Extract (factors; s3, a1; D1, D2, D3) from delta over Z[sqrt(-14)].
 
     Requires delta nonzero with nonzero rational coordinate a (the 7-part
     of a is undefined otherwise).
@@ -205,21 +196,12 @@ def norm_factorization(delta: QuadInt) -> NormFactorization:
         raise ParameterError("delta must be nonzero")
     if delta.a == 0:
         raise ParameterError("delta with a = 0 is outside the criterion's domain")
-    fac = numth.factorize(abs(delta.norm()))
-    s1 = s2 = 0
-    primes: list[tuple[int, int]] = []
-    for p, e in fac:
-        if p == 2:
-            s1 = e
-        elif p == 7:
-            s2 = e
-        else:
-            primes.append((p, e))
+    factors = tuple(numth.factorize(abs(delta.norm())))
     s3 = numth.valuation(delta.a, 7)
     a1 = delta.a // 7**s3
-    d1, d2, d3 = _partition(tuple(primes))
-    for p, e in primes:
+    d1, d2, d3 = _partition(factors)
+    for p, e in factors:
         # norms have even valuation at D2 primes: -14 is a nonresidue there
         if e % 2 and p in d2:
             raise RuntimeError(f"odd exponent {e} at D2 prime {p}; invariant violated")
-    return NormFactorization(s1, s2, tuple(primes), s3, a1, d1, d2, d3)
+    return NormFactorization(factors, s3, a1, d1, d2, d3)

@@ -178,7 +178,7 @@ def test_criterion_7_structural_invariants(acceptance_sweep):
     d2_seen = 0
     for a, b in status:
         nf = norm_factorization(QuadInt(a, b))
-        exps = dict(nf.primes)
+        exps = dict(nf.factors)
         for p in nf.d2:
             d2_seen += 1
             assert exps[p] % 2 == 0, (a, b, p)

@@ -123,8 +123,9 @@ def test_evidence_integrity():
         dec = decide_qsqrt_m14(delta, witness_bound=None)
         nf = dec.factorization
         assert nf == norm_factorization(delta)
-        exps = dict(nf.primes)
-        eps = nf.s1 + nf.s2 + nf.s3 + sum(exps[p] // 2 for p in nf.d2) + sum(exps[p] for p in nf.d3)
+        exps = dict(nf.factors)
+        s1, s2 = exps.get(2, 0), exps.get(7, 0)
+        eps = s1 + s2 + nf.s3 + sum(exps[p] // 2 for p in nf.d2) + sum(exps[p] for p in nf.d3)
         assert nf.parity_exponent == eps
         assert nf.a1_symbol == brute_legendre(nf.a1, 7)
         assert dec.branch == ("d1_nonempty" if nf.d1 else "parity")

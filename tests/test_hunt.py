@@ -50,7 +50,7 @@ def test_box5_fixed():
 def test_hit_structure():
     res = hunt_counterexamples(5, 60, workers=1)
     assert res.hits
-    assert res.bound == 60
+    assert res.summary["bound"] == 60
     for hit in res.hits:
         assert hit.status is DecisionStatus.GLOBAL_OBSTRUCTION
         assert all(v.solvable for v in hit.local_report)
@@ -140,7 +140,7 @@ def test_records_are_immutable_and_pickle():
     # a HuntResult holds dicts, so it has no hash
     result = hunt_counterexamples(1, 10)
     with pytest.raises(AttributeError):
-        result.box = 2
+        result.records = ()
     assert pickle.loads(pickle.dumps(result)) == result
 
 

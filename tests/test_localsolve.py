@@ -26,7 +26,7 @@ from twosquares.localsolve import (
     locally_solvable,
     locally_solvable_everywhere,
 )
-from twosquares.ring import Place, QuadInt, Splitting, split_type
+from twosquares.ring import Place, QuadInt, Splitting, _split_type
 
 TEST_PRIMES = (2, 3, 5, 7, 13)
 
@@ -53,13 +53,22 @@ def test_relevant_primes():
         locally_solvable_everywhere(QuadInt(0, 0))
 
 
-def test_walk_skips_zero_exponents():
-    # a factorization may carry p^0, as the criterion's 7^s2 does when 7
-    # does not divide the norm: such a p is no place of the walk
+def test_walk_adds_2_to_an_odd_norm():
+    # 2 can obstruct whether or not it divides the norm, so the walk visits
+    # it also when factorize's pairs leave it out
     delta = QuadInt(1, 1)  # N = 15
-    ok, verdicts = _local_report(delta, ((2, 0), (7, 0), (3, 1), (5, 1)))
+    verdicts = _local_report(delta, [(3, 1), (5, 1)])
     assert [v.place.label() for v in verdicts] == ["oo", "2", "3", "5"]
-    assert (ok, verdicts) == locally_solvable_everywhere(delta)
+    assert verdicts[1] == locally_solvable(delta, 2)
+    assert (all(v.solvable for v in verdicts), list(verdicts)) == locally_solvable_everywhere(delta)
+    one = QuadInt(1, 0)  # N = 1, no pairs at all
+    assert _local_report(one, []) == (_archimedean_verdict(one), locally_solvable(one, 2))
+
+
+def test_locally_solvable_rejects_a_non_prime():
+    for p in (0, 1, -3, 4, 6, 9, 15):
+        with pytest.raises(ParameterError, match=f"got {p}$"):
+            locally_solvable(QuadInt(1, 1), p)
 
 
 def test_cutoff_depth_fixed():
@@ -158,7 +167,7 @@ def test_odd_place_closed_form_agrees_with_descent():
                     cert = verdict.certificate
                     _check_congruences(delta, cert, p)
                     sol = (*cert.x, *cert.y)
-                    assert _is_smooth(sol, cert.level, p, d, split_type(p, d)), (a, b, d, p)
+                    assert _is_smooth(sol, cert.level, p, d, _split_type(p, d)), (a, b, d, p)
 
 
 def test_split_valuations_come_from_the_coordinate_gcd():
@@ -282,14 +291,9 @@ def test_everywhere_does_not_reprove_primes(monkeypatch):
     is_prime = numth.is_prime
     monkeypatch.setattr(numth, "is_prime", lambda n: calls.append(n) or is_prime(n))
     for (delta, factors), want in zip(cases, expected):
-        ok, verdicts = _local_report(delta, factors)
-        assert verdicts[1:] == want, delta
-        assert ok == all(v.solvable for v in verdicts)
+        verdicts = _local_report(delta, factors)
+        assert list(verdicts[1:]) == want, delta
     assert calls == []
-    monkeypatch.undo()
-    for p in (1, 6, 9, 15):
-        with pytest.raises(ParameterError):
-            locally_solvable(QuadInt(6, 1), p)
 
 
 def test_verdict_stability_and_monotonicity_small_box():

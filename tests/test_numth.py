@@ -86,7 +86,7 @@ def test_factorize_trial_division_edges():
 def test_factorize_across_the_trial_bound_and_10_6():
     # primes on each side of the trial bound 2^16 and of 10^6, in products
     # that trial division, rho, or both must split
-    assert len(numth._BLOCK_PRODUCTS) == 33 and numth._TRIAL_BOUND == 1 << 16
+    assert len(numth._BLOCK_PRODUCTS) == 32 and numth._TRIAL_BOUND == 1 << 16
     primes = (65521, 65537, 999983, 1000003)
     big = 10**12 + 39
     assert all(numth.is_prime(p) for p in (*primes, big))
@@ -108,6 +108,18 @@ def test_factorize_across_the_trial_bound_and_10_6():
         expect(smooth, brute_factorize(smooth))
         expect(smooth * big, brute_factorize(smooth) + [(big, 1)])
         expect(smooth * 1000003 * big, brute_factorize(smooth * 1000003) + [(big, 1)])
+
+
+def test_trial_division_ends_at_the_trial_bound(monkeypatch):
+    # the blocks find every prime below 2^16 and none above it: a product of
+    # two primes just past 2^16 reaches rho, one just below it does not
+    rho = []
+    brent_rho = numth._brent_rho
+    monkeypatch.setattr(numth, "_brent_rho", lambda n, c, budget: rho.append(n) or brent_rho(n, c, budget))
+    assert numth.factorize(65519 * 65521) == [(65519, 1), (65521, 1)]
+    assert rho == []
+    assert numth.factorize(65563 * 66413) == [(65563, 1), (66413, 1)]
+    assert rho != []
 
 
 def test_rho_divides_out_each_prime_it_finds(monkeypatch):
@@ -139,7 +151,7 @@ def test_rho_backtracks_when_the_batched_gcd_reaches_n():
 
 def test_rho_retries_with_the_next_constant():
     # both primes lie past the last trial-division block, which ends at
-    # 67583, and c = 1 finds neither, so the split comes from c = 2
+    # 2^16 - 1, and c = 1 finds neither, so the split comes from c = 2
     n = 67709 * 67759
     assert numth._brent_rho(n, 1, 1 << 21) is None
     assert numth.factorize(n) == [(67709, 1), (67759, 1)]
@@ -187,7 +199,7 @@ def test_block_products_are_the_odd_primes_of_each_block():
     # block k covers [2048k, 2048(k+1)); its entry is the product of the odd
     # primes there, read off the oracle's factorization of each odd number
     blocks = numth._BLOCK_PRODUCTS
-    assert isinstance(blocks, tuple) and len(blocks) == 33
+    assert isinstance(blocks, tuple) and len(blocks) == 32
     expected = [1] * len(blocks)
     for n in range(3, len(blocks) * 2048, 2):
         if brute_factorize(n) == [(n, 1)]:

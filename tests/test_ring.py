@@ -15,7 +15,6 @@ from twosquares.ring import (
     Splitting,
     norm_factorization,
     parse_quadint,
-    split_type,
 )
 
 SQUAREFREE_DS = [-14, -13, -10, -6, -5, -2, -1, 2, 3, 6, 7]
@@ -97,20 +96,20 @@ def test_parse_rejects_garbage():
 
 
 def test_split_type_fixed_table():
-    assert split_type(2) is Splitting.RAMIFIED
-    assert split_type(7) is Splitting.RAMIFIED
+    assert ring._split_type(2, DEFAULT_D) is Splitting.RAMIFIED
+    assert ring._split_type(7, DEFAULT_D) is Splitting.RAMIFIED
     for p in (3, 5, 13, 19, 23):
-        assert split_type(p) is Splitting.SPLIT
+        assert ring._split_type(p, DEFAULT_D) is Splitting.SPLIT
     for p in (11, 17):
-        assert split_type(p) is Splitting.INERT
-    assert split_type(3, -2) is Splitting.SPLIT
+        assert ring._split_type(p, DEFAULT_D) is Splitting.INERT
+    assert ring._split_type(3, -2) is Splitting.SPLIT
 
 
 def test_split_type_vs_legendre():
     primes = [p for p in range(2, 100) if all(p % q for q in range(2, p))]
     for d in SQUAREFREE_DS:
         for p in primes:
-            st = split_type(p, d)
+            st = ring._split_type(p, d)
             if (2 * d) % p == 0:
                 assert st is Splitting.RAMIFIED
             else:
@@ -118,33 +117,26 @@ def test_split_type_vs_legendre():
                 assert st is expected
 
 
-def test_split_type_rejects():
-    with pytest.raises(ParameterError):
-        split_type(6)
-    with pytest.raises(ParameterError):
-        split_type(-3)
-
-
 def test_place_labels():
     assert Place(None).label() == "oo"
     assert Place(None).prime is None
-    assert Place(7, split_type(7)).label() == "7"
-    assert Place(7, split_type(7)).splitting is Splitting.RAMIFIED
+    assert Place(7, ring._split_type(7, DEFAULT_D)).label() == "7"
+    assert Place(7, ring._split_type(7, DEFAULT_D)).splitting is Splitting.RAMIFIED
 
 
 def test_norm_factorization_fixed():
     cases = {
-        (1, 1): (0, 0, ((3, 1), (5, 1)), 0, 1, (5,), (), (5,)),
-        (2, 0): (2, 0, (), 0, 2, (), (), ()),
-        (-1, 0): (0, 0, (), 0, -1, (), (), ()),
-        (-7, 0): (0, 2, (), 1, -1, (), (), ()),
-        (-14, 0): (2, 2, (), 1, -2, (), (), ()),
-        (3, 1): (0, 0, ((23, 1),), 0, 3, (), (), ()),
-        (25, 24): (0, 0, ((8689, 1),), 0, 25, (), (), (8689,)),
-        (3, 3): (0, 0, ((3, 3), (5, 1)), 0, 3, (5,), (), (5,)),
-        (5, 0): (0, 0, ((5, 2),), 0, 5, (5,), (), (5,)),
-        (9, 2): (0, 0, ((137, 1),), 0, 9, (), (), (137,)),
-        (1, 2): (0, 0, ((3, 1), (19, 1)), 0, 1, (), (), ()),
+        (1, 1): (((3, 1), (5, 1)), 0, 1, (5,), (), (5,)),
+        (2, 0): (((2, 2),), 0, 2, (), (), ()),
+        (-1, 0): ((), 0, -1, (), (), ()),
+        (-7, 0): (((7, 2),), 1, -1, (), (), ()),
+        (-14, 0): (((2, 2), (7, 2)), 1, -2, (), (), ()),
+        (3, 1): (((23, 1),), 0, 3, (), (), ()),
+        (25, 24): (((8689, 1),), 0, 25, (), (), (8689,)),
+        (3, 3): (((3, 3), (5, 1)), 0, 3, (5,), (), (5,)),
+        (5, 0): (((5, 2),), 0, 5, (5,), (), (5,)),
+        (9, 2): (((137, 1),), 0, 9, (), (), (137,)),
+        (1, 2): (((3, 1), (19, 1)), 0, 1, (), (), ()),
     }
     for (a, b), expected in cases.items():
         nf = norm_factorization(QuadInt(a, b))
@@ -156,7 +148,7 @@ def test_norm_factorization_d2_example():
     # only divide a norm when it divides both coordinates.
     nf = norm_factorization(QuadInt(17, 17))
     assert nf.d2 == (17,)
-    assert dict(nf.primes)[17] == 2
+    assert dict(nf.factors)[17] == 2
 
 
 def test_norm_factorization_reconstructs():
@@ -166,10 +158,11 @@ def test_norm_factorization_reconstructs():
         b = rng.randrange(-60, 61)
         delta = QuadInt(a, b)
         nf = norm_factorization(delta)
-        n = 2**nf.s1 * 7**nf.s2
-        for p, e in nf.primes:
-            assert p not in (2, 7)
+        n = 1
+        for p, e in nf.factors:
+            assert numth.is_prime(p) and e > 0
             n *= p**e
+        assert [p for p, _ in nf.factors] == sorted({p for p, _ in nf.factors})
         assert n == abs(delta.norm())
         assert 7 ** nf.s3 * nf.a1 == a and nf.a1 % 7 != 0
 
@@ -188,7 +181,7 @@ def test_partition_matches_symbol_definitions():
         a = rng.choice([n for n in range(-60, 61) if n])
         b = rng.randrange(-60, 61)
         nf = norm_factorization(QuadInt(a, b))
-        for p, _ in nf.primes:
+        for p, _ in nf.factors:
             in_d1 = brute_legendre(-1, p) == 1 == brute_legendre(14, p) and brute_legendre(7, p) == -1
             in_d2 = (
                 brute_legendre(-1, p) == 1
@@ -209,7 +202,7 @@ def test_partition_does_not_reprove_primes(monkeypatch):
     calls = []
     is_prime = numth.is_prime
     monkeypatch.setattr(numth, "is_prime", lambda n: calls.append(n) or is_prime(n))
-    primes = ((3, 1), (5, 2), (13, 1), (17, 1), (1009, 1), (1000000007, 1))
+    primes = ((2, 3), (3, 1), (5, 2), (7, 1), (13, 1), (17, 1), (1009, 1), (1000000007, 1))
     assert ring._partition(primes) == ((5, 13), (17,), (5, 13))
     assert calls == []
 
