@@ -54,10 +54,11 @@ class LocalVerdict(NamedTuple):
 def _lift_sqrt(a: int, p: int, k: int) -> int:
     """The Hensel lift r mod p^k of the smaller square root of a mod p."""
     r = numth._sqrt_mod_prime(a % p, p)
+    inv = pow(2 * r, -1, p)  # r mod p is the same at every level
     modulus = p
     for _ in range(k - 1):
         nxt = modulus * p
-        t = (a - r * r) // modulus * pow(2 * r, -1, p) % p
+        t = (a - r * r) // modulus * inv % p
         r = (r + t * modulus) % nxt
         modulus = nxt
     return r
@@ -68,8 +69,7 @@ def _unit_two_squares(c: int, p: int, k: int) -> tuple[int, int]:
     # is Hensel-smooth.  Mod p there are p - (-1/p) >= 2 solutions, at most
     # two of them with Y = 0.
     for x in range(p):
-        w = (c - x * x) % p
-        if w and pow(w, (p - 1) // 2, p) == 1:
+        if numth.jacobi(c - x * x, p) == 1:  # a nonzero square, so Y is a unit
             return x, _lift_sqrt((c - x * x) % p**k, p, k)
     raise RuntimeError(f"no unit solution of x^2 + y^2 = {c} mod {p}; invariant violated")
 

@@ -12,11 +12,25 @@ from .errors import FactorizationError, ParameterError
 if TYPE_CHECKING:
     from fractions import Fraction
 
-# The first 13 primes as strong-pseudoprime witnesses make Miller-Rabin
-# deterministic for n < _MR_BOUND (psi_13, Sorenson-Webster); without 41
-# the bound is psi_12 = 318665857834031151167461, itself composite.
+# Miller-Rabin to the first k prime bases is deterministic below psi_k, the
+# least strong pseudoprime to all of them (OEIS A014233; Jaeschke 1993;
+# Sorenson & Webster 2017 for psi_12 and psi_13).  Each psi_k is composite.
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_BOUND = 3_317_044_064_679_887_385_961_981
+_MR_PSI = (
+    2_047,
+    1_373_653,
+    25_326_001,
+    3_215_031_751,
+    2_152_302_898_747,
+    3_474_749_660_383,
+    341_550_071_728_321,
+    341_550_071_728_321,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    3_825_123_056_546_413_051,
+    318_665_857_834_031_151_167_461,
+    3_317_044_064_679_887_385_961_981,
+)
 
 _TRIAL_BOUND = 1 << 16
 _RHO_BUDGET = 1 << 21
@@ -47,6 +61,7 @@ _BLOCK_PRODUCTS = tuple(
     for lo in range(0, _TRIAL_BOUND, _BLOCK)
 )
 _SMALL_PRIMES = (2, *compress(range(1, 312, 2), _flags))  # the first 64 primes
+_SMALL_PRODUCT = prod(_SMALL_PRIMES)
 del _flags
 
 
@@ -84,29 +99,31 @@ def _strong_lucas_probable_prime(n: int) -> bool:
 
 
 def is_prime(n: int) -> bool:
-    """Primality of n: Miller-Rabin over the first 13 prime bases, which is
-    deterministic below ~3.3e24 (psi_13); above it Baillie-PSW, i.e. those
-    rounds plus a strong Lucas test, with no known counterexample."""
+    """Primality of n.  One gcd screens the first 64 primes, 2 to 311; a
+    number below 313^2 that passes it is prime.  Past that, Miller-Rabin to
+    the first k prime bases, for the least k with n < psi_k, proves n prime
+    below psi_13 ~ 3.3e24.  Above it Baillie-PSW, i.e. all 13 rounds plus a
+    strong Lucas test, with no known counterexample."""
     if n < 2:
         return False
-    for p in _SMALL_PRIMES:
-        if n % p == 0:
-            return n == p
-    d, r = n - 1, 0
-    while d % 2 == 0:
-        d //= 2
-        r += 1
-    for a in _MR_WITNESSES:
+    if gcd(n, _SMALL_PRODUCT) > 1:
+        return n in _SMALL_PRIMES
+    if n < 313 * 313:
+        return True  # no prime factor up to its square root
+    s = ((n - 1) & (1 - n)).bit_length() - 1
+    d = (n - 1) >> s
+    for a, psi in zip(_MR_WITNESSES, _MR_PSI):
         x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(r - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return n < _MR_BOUND or _strong_lucas_probable_prime(n)
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:
+            return True  # the bases so far prove n prime
+    return _strong_lucas_probable_prime(n)
 
 
 def _brent_rho(n: int, c: int, budget: int) -> int | None:
@@ -224,11 +241,11 @@ def valuation(n: int, p: int) -> int:
     return v
 
 
-def _euler_criterion(a: int, p: int, k: int = 2) -> bool:
-    # Whether a is a k-th power residue mod the odd prime p, for p not
-    # dividing a: a^((p-1)/gcd(k, p-1)) = 1 (mod p).  p is not checked, so
-    # callers pass primes they already hold.
-    return pow(a % p, (p - 1) // gcd(k, p - 1), p) == 1
+def _euler_criterion(a: int, p: int) -> bool:
+    # Whether a is a fourth power mod the odd prime p, for p not dividing a:
+    # a^((p-1)/gcd(4, p-1)) = 1 (mod p).  p is not checked, so callers pass
+    # primes they already hold.  Quadratic characters come from jacobi.
+    return pow(a % p, (p - 1) // gcd(4, p - 1), p) == 1
 
 
 def legendre(a: int, p: int) -> int:
@@ -266,24 +283,28 @@ def is_quartic_residue(a: int, p: int) -> bool:
         raise ParameterError(f"quartic residue test requires an odd prime, got {p}")
     if a % p == 0:
         raise ParameterError(f"quartic residue test requires p coprime to a, got a={a}, p={p}")
-    return _euler_criterion(a, p, 4)
+    return _euler_criterion(a, p)
 
 
 def _sqrt_mod_prime(a: int, p: int) -> int:
-    # The smaller square root of a mod the odd prime p, by Tonelli-Shanks;
-    # unchecked, so callers pass a nonzero square a that they hold as such.
+    # The smaller square root of a mod the odd prime p; unchecked, so callers
+    # pass a nonzero square a that they hold as such.  For p = 3 (mod 4) it
+    # is a^((p+1)/4).  Otherwise take a nonresidue z, found by reciprocity:
+    # z^((p-1)/4) is a root of -1, and Tonelli-Shanks finds any other root.
     a %= p
     if p % 4 == 3:
         r = pow(a, (p + 1) // 4, p)
+        return min(r, p - r)
+    z = 2
+    while jacobi(z, p) != -1:
+        z += 1
+    if a == p - 1:
+        r = pow(z, (p - 1) // 4, p)
         return min(r, p - r)
     q, s = p - 1, 0
     while q % 2 == 0:
         q //= 2
         s += 1
-    # p is prime, so Euler's criterion finds the nonresidue
-    z = 2
-    while pow(z, (p - 1) // 2, p) != p - 1:
-        z += 1
     m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
     while t != 1:
         t2, i = t * t % p, 1
@@ -329,7 +350,7 @@ def hilbert_symbol(a: int | Fraction, b: int | Fraction, place: int | None) -> i
         exponent += alpha * ((w * w - 1) // 8) + beta * ((u * u - 1) // 8)
         return -1 if exponent % 2 else 1
     # (-1)^(alpha*beta*(p-1)/2) * (u/p)^beta * (w/p)^alpha; u and w are
-    # prime to p, proved prime above, so Euler's criterion gives each symbol
+    # prime to p, proved prime above, so jacobi gives each symbol
     exponent = alpha * beta * ((p - 1) // 2)
-    exponent += (beta % 2 and not _euler_criterion(u, p)) + (alpha % 2 and not _euler_criterion(w, p))
+    exponent += (beta % 2 and jacobi(u, p) < 0) + (alpha % 2 and jacobi(w, p) < 0)
     return -1 if exponent % 2 else 1

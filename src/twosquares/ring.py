@@ -124,7 +124,7 @@ def _split_type(p: int, d: int) -> Splitting:
     # prime and the d of a QuadInt, so already valid
     if (2 * d) % p == 0:
         return Splitting.RAMIFIED
-    return Splitting.SPLIT if numth._euler_criterion(d, p) else Splitting.INERT
+    return Splitting.SPLIT if numth.jacobi(d, p) == 1 else Splitting.INERT
 
 
 class Place(NamedTuple):
@@ -163,23 +163,24 @@ class NormFactorization(NamedTuple):
     @property
     def a1_symbol(self) -> int:
         """The Legendre symbol (a1|7); a1 is prime to 7, so it is +1 or -1."""
-        return 1 if numth._euler_criterion(self.a1, 7) else -1
+        return numth.jacobi(self.a1, 7)
 
 
 def _partition(factors: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], ...]:
     # every class needs (-1/p) = +1, that is p = 1 (mod 4), which leaves out
     # 2 and 7; the rest come from factorize and are prime to 14, so each
-    # symbol is +1 or -1 and Euler's criterion needs no primality check
+    # symbol is +1 or -1.  7 is a fourth power only if it is a square, so
+    # the one power here is the quartic test where (7/p) = +1.
     d1, d2, d3 = [], [], []
     for p, _ in factors:
         if p % 4 != 1:
             continue
-        r14, r7 = numth._euler_criterion(14, p), numth._euler_criterion(7, p)
+        r14, r7 = numth.jacobi(14, p) == 1, numth.jacobi(7, p) == 1
         if r14 and not r7:
             d1.append(p)
         if not r14 and not r7:
             d2.append(p)
-        if r14 and not numth._euler_criterion(7, p, 4):
+        if r14 and not (r7 and numth._euler_criterion(7, p)):
             d3.append(p)
     return tuple(d1), tuple(d2), tuple(d3)
 

@@ -14,16 +14,22 @@ from oracles import (
     quartic_residues,
     square_residues,
 )
-from twosquares import numth
+from twosquares import numth, ring
 from twosquares.errors import FactorizationError, ParameterError
 
 ODD_PRIMES_200 = [p for p in range(3, 200) if all(p % q for q in range(2, p))]
 
 
 def test_is_prime_small():
-    sieve = {p for p in range(2, 2000) if all(p % q for q in range(2, p))}
-    for n in range(-3, 2000):
-        assert numth.is_prime(n) == (n in sieve)
+    # a sieve below 2e5, across the small-n rule's end at 313^2
+    limit = 200_000
+    sieve = bytearray([1]) * limit
+    sieve[0] = sieve[1] = 0
+    for p in range(2, isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, limit, p)))
+    assert not any(map(numth.is_prime, range(-3, 0)))
+    assert bytearray(map(numth.is_prime, range(limit))) == sieve
 
 
 def test_is_prime_large():
@@ -171,6 +177,163 @@ def test_is_prime_rejects_strong_pseudoprimes():
     assert not numth.is_prime((2**89 - 1) * (2**61 - 1))
 
 
+# The first 14 primes, for a Miller-Rabin written here that shares no code
+# with numth: its bases and its psi table are what these tests check.
+BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+# OEIS A014233: psi_k, the least strong pseudoprime to the first k prime bases
+A014233 = (
+    2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+    341550071728321, 341550071728321, 3825123056546413051, 3825123056546413051,
+    3825123056546413051, 318665857834031151167461, 3317044064679887385961981,
+)
+
+
+def strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def reference_is_prime(n):
+    # all 13 bases, whatever the size of n: a proof below psi_13
+    if n < 2:
+        return False
+    for p in BASES[:13]:
+        if n % p == 0:
+            return n == p
+    return all(strong_probable_prime(n, a) for a in BASES[:13])
+
+
+def next_prime(n):
+    while not reference_is_prime(n):
+        n += 1
+    return n
+
+
+def previous_prime(n):
+    while not reference_is_prime(n):
+        n -= 1
+    return n
+
+
+@pytest.fixture
+def powers(monkeypatch):
+    # every pow that numth makes, in order; the count is the cost guard
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return pow(*args)
+
+    monkeypatch.setattr(numth, "pow", counting, raising=False)
+    return calls
+
+
+def test_each_psi_is_a_strong_pseudoprime_to_exactly_its_bases():
+    psi = numth._MR_PSI
+    assert numth._MR_WITNESSES == BASES[:13] and psi == A014233
+    for n in set(psi):
+        k = max(i for i, v in enumerate(psi, 1) if v == n)  # the most bases n fools
+        assert all(strong_probable_prime(n, a) for a in BASES[:k]), n
+        assert not strong_probable_prime(n, BASES[k]), n  # so n is composite
+        assert not numth.is_prime(n), n
+
+
+def test_small_n_rule_ends_at_313_squared(powers):
+    # 2..311 are screened; 313^2 and 313 * 317 pass the screen, and only
+    # Miller-Rabin can reject them
+    largest = previous_prime(313**2)
+    assert largest < 313**2 < 313 * 317
+    assert numth.is_prime(largest) and powers == []
+    for n in (313**2, 313 * 317):
+        assert not numth.is_prime(n), n
+        assert powers != [], n
+        powers.clear()
+
+
+def test_is_prime_agrees_with_the_13_base_reference_in_every_band():
+    rng = random.Random(109)
+    # past psi_13 (a 13-base strong pseudoprime, so left out) the reference
+    # is a probable-prime test, as is_prime is there
+    edges = sorted({313**2, *(v for v in numth._MR_PSI if v > 313**2)})
+    for lo, hi in [*zip(edges, edges[1:]), (edges[-1] + 1, 10**30)]:
+        cases = [rng.randrange(lo, hi) | 1 for _ in range(150)]
+        cases += [next_prime(rng.randrange(lo, hi)) for _ in range(15)]
+        cases += [lo, hi - 1, next_prime(lo), previous_prime(hi - 1)]
+        for n in cases:
+            assert numth.is_prime(n) == reference_is_prime(n), n
+
+
+def test_is_prime_pays_one_power_per_base_its_band_needs(powers):
+    # a prime in [psi_(k-1), psi_k) takes exactly k Miller-Rabin powers,
+    # one below 313^2 none, and one above psi_13 all 13 and the Lucas test
+    for p in (2, 3, 311, 313, 65537, previous_prime(313**2)):
+        assert numth.is_prime(p) and powers == [], p
+    lo = 313**2
+    for k, hi in enumerate(numth._MR_PSI, 1):
+        if lo < hi:
+            for p in (next_prime(lo), previous_prime(hi - 1)):
+                powers.clear()
+                assert numth.is_prime(p) and len(powers) == k, (k, p)
+            lo = hi
+    for p in (next_prime(lo + 1), 2**89 - 1, 2**127 - 1):
+        powers.clear()
+        assert numth.is_prime(p) and len(powers) == 13, p
+
+
+def test_sqrt_of_minus_one_takes_one_power(powers):
+    # p = 1 and p = 5 (mod 8), small, with p - 1 divisible by 2^16 or 2^20,
+    # and above 10^24 (below psi_13, so the reference proves them prime)
+    big = [next(p for p in range(10**24 + r, 10**25, 8) if reference_is_prime(p)) for r in (1, 5)]
+    for p in (5, 13, 17, 29, 41, 97, 65537, 7340033, *big):
+        powers.clear()
+        r = numth._sqrt_mod_prime(p - 1, p)
+        assert len(powers) == 1, p
+        assert r * r % p == p - 1 and r < p - r, p
+
+
+def test_quadratic_characters_take_no_power(powers):
+    # _split_type, _partition and a1_symbol read each character by
+    # reciprocity; they agree with Euler's criterion, computed here
+    def euler(a, p):
+        return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
+
+    rng = random.Random(110)
+    primes = [next_prime(rng.randrange(10**e, 10 ** (e + 1))) for e in range(6, 31) for _ in range(4)]
+    for p in primes:
+        for d in (-14, -5, 2, 3):
+            expected = ring.Splitting.SPLIT if euler(d, p) == 1 else ring.Splitting.INERT
+            assert ring._split_type(p, d) is expected, (p, d)
+    assert powers == []
+    # 7 is a fourth power only where it is a square: _partition's one power
+    # is that quartic test, where 14 and 7 are both squares
+    ones = [p for p in primes if p % 4 == 1]
+    d1 = [p for p in ones if euler(14, p) == 1 and euler(7, p) == -1]
+    d2 = [p for p in ones if euler(14, p) == -1 and euler(7, p) == -1]
+    d3 = [p for p in ones if euler(14, p) == 1 and pow(7, (p - 1) // 4, p) != 1]
+    both = [p for p in ones if euler(14, p) == euler(7, p) == 1]
+    assert d1 and d2 and d3 and both
+    factors = tuple((p, 1) for p in sorted({2, 7, *primes}))
+    assert ring._partition(factors) == (tuple(sorted(d1)), tuple(sorted(d2)), tuple(sorted(d3)))
+    assert [args[2] for args in powers] == sorted(both)
+    powers.clear()
+    for _ in range(200):
+        a1 = rng.choice((-1, 1)) * rng.randrange(1, 10**30)
+        if a1 % 7:
+            nf = ring.NormFactorization((), 0, a1, (), (), ())
+            assert nf.a1_symbol == euler(a1, 7), a1
+    assert powers == []
+
+
 def test_strong_lucas_pseudoprimes_below_2e5():
     limit = 200_000
     composite = bytearray(limit)
@@ -208,10 +371,12 @@ def test_block_products_are_the_odd_primes_of_each_block():
 
 
 def test_factorize_stops_at_prime_cofactor(monkeypatch):
+    # only the trial-division blocks count: is_prime's screen takes a gcd too
     taken = []
 
     def counting(a, b):
-        taken.append(b)
+        if b in numth._BLOCK_PRODUCTS:
+            taken.append(b)
         return gcd(a, b)
 
     monkeypatch.setattr(numth, "gcd", counting)
