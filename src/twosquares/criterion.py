@@ -81,7 +81,7 @@ def decide_qsqrt_m14(delta: QuadInt, witness_bound: int | None = DEFAULT_WITNESS
 def _prime_two_squares(p: int) -> tuple[int, int]:
     # p = 1 (mod 4): descend the Euclidean remainders of (p, sqrt(-1) mod p)
     # below sqrt(p); the first one is a leg of the representation
-    r = numth._sqrt_mod_prime(p - 1, p)
+    r = numth._sqrt_mod_prime_power(-1, p, 1)
     prev, cur = p, r
     while cur * cur > p:
         prev, cur = cur, prev % cur

@@ -50,27 +50,13 @@ class LocalVerdict(NamedTuple):
     exhausted_at: int | None = None
 
 
-@lru_cache(maxsize=1024)
-def _lift_sqrt(a: int, p: int, k: int) -> int:
-    """The Hensel lift r mod p^k of the smaller square root of a mod p."""
-    r = numth._sqrt_mod_prime(a % p, p)
-    inv = pow(2 * r, -1, p)  # r mod p is the same at every level
-    modulus = p
-    for _ in range(k - 1):
-        nxt = modulus * p
-        t = (a - r * r) // modulus * inv % p
-        r = (r + t * modulus) % nxt
-        modulus = nxt
-    return r
-
-
 def _unit_two_squares(c: int, p: int, k: int) -> tuple[int, int]:
     # X^2 + Y^2 = c mod p^k for odd p and a unit c, with Y a unit so the pair
     # is Hensel-smooth.  Mod p there are p - (-1/p) >= 2 solutions, at most
     # two of them with Y = 0.
     for x in range(p):
         if numth.jacobi(c - x * x, p) == 1:  # a nonzero square, so Y is a unit
-            return x, _lift_sqrt((c - x * x) % p**k, p, k)
+            return x, numth._sqrt_mod_prime_power((c - x * x) % p**k, p, k)
     raise RuntimeError(f"no unit solution of x^2 + y^2 = {c} mod {p}; invariant violated")
 
 
@@ -101,9 +87,9 @@ def _odd_verdict(delta: QuadInt, place: Place, vn: int) -> LocalVerdict:
         level = depth if splitting is Splitting.SPLIT else 1
         m = p**level
         if p % 4 == 1:
-            i0, i1 = _lift_sqrt(-1, p, level), 0
+            i0, i1 = numth._sqrt_mod_prime_power(-1, p, level), 0
         else:  # inert, p = 3 mod 4: -d is a square s^2 and i = sqrt(d)/s
-            i0, i1 = 0, pow(numth._sqrt_mod_prime(-d % p, p), -1, p)
+            i0, i1 = 0, pow(numth._sqrt_mod_prime_power(-d, p, 1), -1, p)
         h = pow(2, -1, m)
         x = ((a + 1) * h % m, b * h % m)
         y = (((1 - a) * i0 - d * b * i1) * h % m, ((1 - a) * i1 - b * i0) * h % m)
@@ -111,7 +97,7 @@ def _odd_verdict(delta: QuadInt, place: Place, vn: int) -> LocalVerdict:
         # solve each component p^v * unit (v even), then combine by CRT
         level = depth
         m = p**level
-        r = _lift_sqrt(d, p, level)
+        r = numth._sqrt_mod_prime_power(d, p, level)
         parts = []
         for c in ((a + b * r) % m, (a - b * r) % m):
             v = numth.valuation(c, p)  # below level, so read mod p^level

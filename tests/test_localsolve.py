@@ -251,14 +251,17 @@ def test_large_odd_ramified_place():
 
 
 def test_square_roots_do_not_reprove_primes(monkeypatch):
-    # the primes come from factorize; their square roots test none again
+    # the primes come from factorize; their square roots test none again,
+    # with the kernel's cache emptied so that every root is computed; delta
+    # is made first, since a fresh QuadInt checks d = -14 by factoring it
+    split, inert = 1000033, 1000003  # 1 and 3 mod 4; -14 is a nonsquare mod 1000003
+    delta = QuadInt(inert, 0)
     calls = []
     is_prime = numth.is_prime
     monkeypatch.setattr(numth, "is_prime", lambda n: calls.append(n) or is_prime(n))
-    split, inert = 1000033, 1000003  # 1 and 3 mod 4; -14 is a nonsquare mod 1000003
-    r = localsolve._lift_sqrt.__wrapped__(-1, split, 3)
+    numth._sqrt_mod_prime_power.cache_clear()
+    r = numth._sqrt_mod_prime_power(-1, split, 3)
     assert (r * r + 1) % split**3 == 0
-    delta = QuadInt(inert, 0)
     verdict = localsolve._odd_verdict(delta, Place(inert, Splitting.INERT), 2)
     assert verdict.solvable
     _check_congruences(delta, verdict.certificate, inert)

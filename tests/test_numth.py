@@ -6,6 +6,7 @@ from math import gcd, isqrt
 
 import pytest
 
+import oracles
 from oracles import (
     brute_factorize,
     brute_jacobi,
@@ -290,13 +291,18 @@ def test_is_prime_pays_one_power_per_base_its_band_needs(powers):
         assert numth.is_prime(p) and len(powers) == 13, p
 
 
+def big_primes_1_mod_4():
+    # the first primes = 1 and 5 (mod 8) above 10^24 (below psi_13, so the
+    # reference proves them prime)
+    return [next(p for p in range(10**24 + r, 10**25, 8) if reference_is_prime(p)) for r in (1, 5)]
+
+
 def test_sqrt_of_minus_one_takes_one_power(powers):
     # p = 1 and p = 5 (mod 8), small, with p - 1 divisible by 2^16 or 2^20,
-    # and above 10^24 (below psi_13, so the reference proves them prime)
-    big = [next(p for p in range(10**24 + r, 10**25, 8) if reference_is_prime(p)) for r in (1, 5)]
-    for p in (5, 13, 17, 29, 41, 97, 65537, 7340033, *big):
+    # and above 10^24; the kernel is cached, so each call goes past the cache
+    for p in (5, 13, 17, 29, 41, 97, 65537, 7340033, *big_primes_1_mod_4()):
         powers.clear()
-        r = numth._sqrt_mod_prime(p - 1, p)
+        r = numth._sqrt_mod_prime_power.__wrapped__(-1, p, 1)
         assert len(powers) == 1, p
         assert r * r % p == p - 1 and r < p - r, p
 
@@ -471,13 +477,37 @@ def test_quartic_residue_rejects():
 
 
 def test_sqrt_mod_prime_all_squares():
+    # every unit square mod p = 3 (mod 4); mod p = 1 only -1 has a root
     for p in ODD_PRIMES_200:
-        for a in square_residues(p):
-            r = numth._sqrt_mod_prime(a, p)
-            assert r * r % p == a
-            assert r <= p - r  # canonical smaller root
-    assert numth._sqrt_mod_prime(2, 7) == 3
-    assert numth._sqrt_mod_prime(-1, 13) == 5
+        if p % 4 == 3:
+            for a in square_residues(p):
+                r = numth._sqrt_mod_prime_power(a, p, 1)
+                assert r * r % p == a
+                assert r <= p - r  # canonical smaller root
+    assert numth._sqrt_mod_prime_power(2, 7, 1) == 3
+    assert numth._sqrt_mod_prime_power(-1, 13, 1) == 5
+
+
+def test_sqrt_kernel_agrees_with_the_scan_on_its_whole_domain():
+    # the root mod p^k that is the smaller root mod p, for every unit square
+    # mod p = 3 (mod 4) and for -1 mod p = 1 (mod 4), against a scan that
+    # lifts one digit at a time; past the scan's reach, against the contract
+    kernel = numth._sqrt_mod_prime_power
+    for p in ODD_PRIMES_200:
+        cases = square_residues(p) if p % 4 == 3 else [-1]
+        for a in cases:
+            for k in range(1, 5):
+                assert kernel(a, p, k) == oracles._lift_sqrt(a, p, k), (a, p, k)
+    for p in big_primes_1_mod_4():
+        for k in range(1, 5):
+            r = kernel(-1, p, k)
+            assert (r * r + 1) % p**k == 0 and 0 <= r < p**k, (p, k)
+            assert r % p < p - r % p, (p, k)
+    # any other a or p: a p = 1 (mod 4) with a != -1, a nonsquare or a
+    # multiple of p at p = 3 (mod 4), and p = 2
+    for a, p, k in ((2, 13, 1), (1, 13, 2), (-1, 7, 1), (3, 7, 1), (3, 7, 3), (0, 7, 2), (14, 7, 1), (1, 2, 1)):
+        with pytest.raises(RuntimeError):
+            kernel(a, p, k)
 
 
 def test_hilbert_fixed_values():
