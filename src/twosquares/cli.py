@@ -22,7 +22,6 @@ from .criterion import (
     Decision,
     DecisionStatus,
     decide_generic,
-    decide_qsqrt_m14,
     verify_classical,
 )
 from .errors import ParameterError, ResourceLimitError
@@ -96,10 +95,7 @@ def _print_decision_text(decision: Decision) -> None:
 
 def _cmd_decide(args) -> int:
     delta = parse_quadint(args.delta, d=args.d)
-    if args.d == DEFAULT_D:
-        decision = decide_qsqrt_m14(delta, witness_bound=args.bound)
-    else:
-        decision = decide_generic(delta, search_bound=args.bound)
+    decision = decide_generic(delta, args.bound)
     if args.json:
         print(canonical_json(decision_jsonable(decision)))
     else:

@@ -1,6 +1,6 @@
-"""Global decision procedures: the exact two-squares criterion over
-Z[sqrt(-14)], the classical test over Z, and a bounded semi-decision for
-other quadratic rings."""
+"""Global decision procedures: one decision body for every quadratic ring
+(the local walk, then for d = -14 the exact symbol condition, else a
+bounded witness search) and the classical test over Z."""
 
 from __future__ import annotations
 
@@ -60,22 +60,7 @@ def decide_qsqrt_m14(delta: QuadInt, witness_bound: int | None = DEFAULT_WITNESS
     """
     if delta.d != DEFAULT_D:
         raise ParameterError(f"criterion applies to d={DEFAULT_D}, got d={delta.d}")
-    if witness_bound is not None:
-        _check_bound(witness_bound)
-    if delta.a == 0:
-        # N(b*sqrt(-14)) = 14 b^2 has odd valuation at the ramified place
-        # over 7, and 7 = 3 (mod 4), so the local walk refutes every such delta
-        return decide_generic(delta, witness_bound)
-    nf = norm_factorization(delta)
-    # condition 1 walks the places of the factorization already in hand
-    report = _local_report(delta, nf.factors)
-    if not all(v.solvable for v in report):
-        return Decision(delta, DecisionStatus.LOCAL_OBSTRUCTION, report, nf)
-    # condition 2, the symbol condition: D1 nonempty, or (a1|7) = (-1)^eps
-    if not nf.d1 and nf.a1_symbol != (-1) ** nf.parity_exponent:
-        return Decision(delta, DecisionStatus.GLOBAL_OBSTRUCTION, report, nf)
-    witness = None if witness_bound is None else find_representation(delta, witness_bound).witness
-    return Decision(delta, DecisionStatus.REPRESENTABLE, report, nf, witness)
+    return decide_generic(delta, witness_bound)
 
 
 def _prime_two_squares(p: int) -> tuple[int, int]:
@@ -121,17 +106,29 @@ def decide_rational(n: int) -> Decision:
 
 
 def decide_generic(delta: QuadInt, search_bound: int | None = DEFAULT_WITNESS_BOUND) -> Decision:
-    """Semi-decision for arbitrary valid d: local checks can refute, a found
-    witness confirms (search_bound=None skips the search), else UNKNOWN."""
+    """The decision for nonzero delta in any supported ring.  The local walk
+    refutes; for d = -14 and a != 0 the symbol condition decides the rest
+    exactly, and elsewhere a found witness confirms, else UNKNOWN.
+
+    search_bound caps the search for a witness (None skips it); where the
+    criterion applies, the verdict never depends on it."""
     if search_bound is not None:
         _check_bound(search_bound)
-    condition_local, report = locally_solvable_everywhere(delta)
-    report = tuple(report)
-    if not condition_local:
-        return Decision(delta, DecisionStatus.LOCAL_OBSTRUCTION, report)
+    # a = 0 needs no criterion: N(b*sqrt(-14)) = 14 b^2 has odd valuation at
+    # the ramified place over 7, and 7 = 3 (mod 4), so the walk refutes it
+    nf = norm_factorization(delta) if delta.d == DEFAULT_D and delta.a else None
+    if nf is None:
+        report = tuple(locally_solvable_everywhere(delta)[1])
+    else:  # condition 1 walks the places of the factorization already in hand
+        report = _local_report(delta, nf.factors)
+    if not all(v.solvable for v in report):
+        return Decision(delta, DecisionStatus.LOCAL_OBSTRUCTION, report, nf)
+    # condition 2, the symbol condition: D1 nonempty, or (a1|7) = (-1)^eps
+    if nf is not None and not nf.d1 and nf.a1_symbol != (-1) ** nf.parity_exponent:
+        return Decision(delta, DecisionStatus.GLOBAL_OBSTRUCTION, report, nf)
     witness = None if search_bound is None else find_representation(delta, search_bound).witness
-    status = DecisionStatus.UNKNOWN if witness is None else DecisionStatus.REPRESENTABLE
-    return Decision(delta, status, report, witness=witness)
+    status = DecisionStatus.REPRESENTABLE if nf is not None or witness is not None else DecisionStatus.UNKNOWN
+    return Decision(delta, status, report, nf, witness)
 
 
 def verify_classical(n_max: int) -> bool:

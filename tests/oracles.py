@@ -188,6 +188,23 @@ def full_box_scan(delta: QuadInt, bound: int) -> tuple[tuple[QuadInt, QuadInt] |
     return None, tried
 
 
+def unit_bound(delta: QuadInt) -> int:
+    """A coordinate bound that some witness meets whenever delta is a sum of
+    two squares, for d < -1.  The least c > 1 with c^2 - |d| e^2 = 1 gives
+    the unit eps = c + e*sqrt|d| of Z[sqrt d][i], with eps * conj(eps) = 1;
+    some eps^k moves any witness to one with x1^2 + |d| x2^2 + y1^2 +
+    |d| y2^2 <= c * sqrt(N(delta)), so every coordinate of it is below
+    isqrt(c * (isqrt(N) + 1)) + 1."""
+    a, b, d = delta.a, delta.b, delta.d
+    if d >= -1:
+        raise ValueError(f"unit_bound needs d < -1, got {d}")
+    e = 1
+    while isqrt(-d * e * e + 1) ** 2 != -d * e * e + 1:
+        e += 1
+    c = isqrt(-d * e * e + 1)
+    return isqrt(c * (isqrt(a * a - d * b * b) + 1)) + 1
+
+
 def _valuation(n: int, p: int) -> int:
     v = 0
     while n % p == 0:

@@ -1,5 +1,5 @@
-"""Decision procedures: the Z[sqrt(-14)] criterion, the rational baseline,
-and the generic semi-decision."""
+"""Decision procedures: the one decision body for every ring (the
+Z[sqrt(-14)] criterion inside decide_generic) and the rational baseline."""
 
 import random
 
@@ -227,7 +227,9 @@ def test_decide_generic_without_a_bound_skips_the_search(monkeypatch):
 
     monkeypatch.setattr(criterion, "find_representation", no_search)
     assert decide_generic(QuadInt(2, 0, -5), None).status is U  # 1^2 + 1^2, unsearched
-    assert decide_generic(QuadInt(2, 0), None).status is U
+    # at d = -14 the criterion decides with no search
+    dec = decide_generic(QuadInt(2, 0), None)
+    assert dec.status is R and dec.witness is None and dec.branch == "parity"
     assert decide_generic(QuadInt(3, 0, -2), None).status is L
     assert decide_qsqrt_m14(QuadInt(0, 3), witness_bound=None).status is L
     # an int bound is still checked before anything else
@@ -309,8 +311,27 @@ def test_decide_generic_fixed():
     assert dec.status is L and [p.label() for p in dec.failing_places] == ["oo"]
     dec = decide_generic(QuadInt(-1, 0, -1))
     assert dec.status is R and dec.witness == (QuadInt(0, -1, -1), QuadInt(0, 0, -1))
-    dec = decide_generic(QuadInt(-1, 0))
-    assert dec.status is U and dec.witness is None
+    dec = decide_generic(QuadInt(-1, 0))  # locally fine, but (-1|7) = -1 != (-1)^0
+    assert dec.status is G and dec.witness is None and not dec.failing_places
+
+
+def test_decide_qsqrt_m14_is_decide_generic_at_d_minus_14():
+    r = range(-6, 7)
+    deltas = [QuadInt(a, b) for a in r for b in r if a or b]
+    for bound in (None, 6, 50):
+        for delta in deltas:
+            assert decide_qsqrt_m14(delta, bound) == decide_generic(delta, bound), (delta, bound)
+    # a bad bound, and delta = 0, fail alike through both
+    for delta, bound in ((QuadInt(1, 1), 0), (QuadInt(0, 3), 10**6), (QuadInt(0, 0), 6), (QuadInt(0, 0), None)):
+        errors = []
+        for decide in (decide_qsqrt_m14, decide_generic):
+            with pytest.raises((ParameterError, ResourceLimitError)) as exc:
+                decide(delta, bound)
+            errors.append((exc.type, str(exc.value)))
+        assert errors[0] == errors[1], (delta, bound)
+    for d in (-5, -1, 2):
+        with pytest.raises(ParameterError, match="criterion applies to d=-14"):
+            decide_qsqrt_m14(QuadInt(1, 1, d))
 
 
 def test_decide_generic_witnesses_verify():
