@@ -1,6 +1,7 @@
 """Global decision procedures: one decision body for every quadratic ring
-(the local walk, then for d = -14 the exact symbol condition, else a
-bounded witness search) and the classical test over Z."""
+(one factorization of N(delta), the local walk on it, then for d = -14 the
+exact symbol condition read off that same factorization, else a bounded
+witness search) and the classical test over Z."""
 
 from __future__ import annotations
 
@@ -10,8 +11,8 @@ from typing import NamedTuple
 
 from . import numth
 from .errors import ParameterError
-from .localsolve import LocalVerdict, _local_report, locally_solvable_everywhere
-from .ring import DEFAULT_D, NormFactorization, Place, QuadInt, norm_factorization
+from .localsolve import LocalVerdict, _local_report
+from .ring import DEFAULT_D, Place, QuadInt
 from .search import _check_bound, find_representation, two_square_search, verify_witness
 
 DEFAULT_WITNESS_BOUND = 50
@@ -22,6 +23,66 @@ class DecisionStatus(enum.Enum):
     LOCAL_OBSTRUCTION = "local_obstruction"
     GLOBAL_OBSTRUCTION = "global_obstruction"
     UNKNOWN = "unknown"
+
+
+class NormFactorization(NamedTuple):
+    """|N(delta)| = 2^s1 * 7^s2 * p1^e1 * ... * pg^eg as factorize's sorted
+    (p, e) pairs, with no pair for 2 or 7 when s1 or s2 is 0; the 7-part
+    of the rational coordinate a = 7^s3 * a1 (7 not dividing a1); and the
+    sign classes D1, D2, D3 of the odd primes other than 7."""
+
+    factors: tuple[tuple[int, int], ...]
+    s3: int
+    a1: int
+    d1: tuple[int, ...]
+    d2: tuple[int, ...]
+    d3: tuple[int, ...]
+
+    @property
+    def parity_exponent(self) -> int:
+        """eps = s1 + s2 + s3 + sum of e_i/2 over D2 + sum of e_i over D3.
+        Without s3 the symbol condition misclassifies every representable
+        delta whose a has an odd power of 7, e.g. -7 = (-7)^2 + (-2*sqrt(-14))^2."""
+        exps = dict(self.factors)
+        d2_halves = sum(exps[p] // 2 for p in self.d2)
+        return exps.get(2, 0) + exps.get(7, 0) + self.s3 + d2_halves + sum(exps[p] for p in self.d3)
+
+    @property
+    def a1_symbol(self) -> int:
+        """The Legendre symbol (a1|7); a1 is prime to 7, so it is +1 or -1."""
+        return numth.jacobi(self.a1, 7)
+
+
+def _partition(factors: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], ...]:
+    # every class needs (-1/p) = +1, that is p = 1 (mod 4), which leaves out
+    # 2 and 7; the rest come from factorize and are prime to 14, so each
+    # symbol is +1 or -1.  7 is a fourth power only if it is a square, so
+    # the one power here is the quartic test where (7/p) = +1.
+    d1, d2, d3 = [], [], []
+    for p, _ in factors:
+        if p % 4 != 1:
+            continue
+        r14, r7 = numth.jacobi(14, p) == 1, numth.jacobi(7, p) == 1
+        if r14 and not r7:
+            d1.append(p)
+        if not r14 and not r7:
+            d2.append(p)
+        if r14 and not (r7 and numth._euler_criterion(7, p)):
+            d3.append(p)
+    return tuple(d1), tuple(d2), tuple(d3)
+
+
+def _norm_factorization(delta: QuadInt, factors: tuple[tuple[int, int], ...]) -> NormFactorization:
+    # the symbol data of a delta over Z[sqrt(-14)] with a != 0 (the 7-part
+    # of a is undefined otherwise), from factorize's pairs of |N(delta)|
+    s3 = numth.valuation(delta.a, 7)
+    a1 = delta.a // 7**s3
+    d1, d2, d3 = _partition(factors)
+    for p, e in factors:
+        # norms have even valuation at D2 primes: -14 is a nonresidue there
+        if e % 2 and p in d2:
+            raise RuntimeError(f"odd exponent {e} at D2 prime {p}; invariant violated")
+    return NormFactorization(factors, s3, a1, d1, d2, d3)
 
 
 class Decision(NamedTuple):
@@ -106,21 +167,22 @@ def decide_rational(n: int) -> Decision:
 
 
 def decide_generic(delta: QuadInt, search_bound: int | None = DEFAULT_WITNESS_BOUND) -> Decision:
-    """The decision for nonzero delta in any supported ring.  The local walk
-    refutes; for d = -14 and a != 0 the symbol condition decides the rest
-    exactly, and elsewhere a found witness confirms, else UNKNOWN.
+    """The decision for nonzero delta in any supported ring, on one
+    factorization of N(delta).  The local walk refutes; for d = -14 and
+    a != 0 the symbol condition decides the rest exactly, and elsewhere a
+    found witness confirms, else UNKNOWN.
 
     search_bound caps the search for a witness (None skips it); where the
     criterion applies, the verdict never depends on it."""
     if search_bound is not None:
         _check_bound(search_bound)
+    if delta.is_zero():
+        raise ParameterError("delta must be nonzero")
+    factors = tuple(numth.factorize(abs(delta.norm())))
+    report = _local_report(delta, factors)  # condition 1
     # a = 0 needs no criterion: N(b*sqrt(-14)) = 14 b^2 has odd valuation at
     # the ramified place over 7, and 7 = 3 (mod 4), so the walk refutes it
-    nf = norm_factorization(delta) if delta.d == DEFAULT_D and delta.a else None
-    if nf is None:
-        report = tuple(locally_solvable_everywhere(delta)[1])
-    else:  # condition 1 walks the places of the factorization already in hand
-        report = _local_report(delta, nf.factors)
+    nf = _norm_factorization(delta, factors) if delta.d == DEFAULT_D and delta.a else None
     if not all(v.solvable for v in report):
         return Decision(delta, DecisionStatus.LOCAL_OBSTRUCTION, report, nf)
     # condition 2, the symbol condition: D1 nonempty, or (a1|7) = (-1)^eps

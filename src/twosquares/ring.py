@@ -1,6 +1,6 @@
 """Exact arithmetic in Z[sqrt(d)] for squarefree d = 2, 3 (mod 4), with
-d = -14 as the distinguished instance, plus the norm-factorization data
-feeding the two-squares criterion."""
+d = -14 as the distinguished instance: the ring elements, their parsing,
+and the places of Q(sqrt(d))."""
 
 from __future__ import annotations
 
@@ -136,73 +136,3 @@ class Place(NamedTuple):
 
     def label(self) -> str:
         return "oo" if self.prime is None else str(self.prime)
-
-
-class NormFactorization(NamedTuple):
-    """|N(delta)| = 2^s1 * 7^s2 * p1^e1 * ... * pg^eg as factorize's sorted
-    (p, e) pairs, with no pair for 2 or 7 when s1 or s2 is 0; the 7-part
-    of the rational coordinate a = 7^s3 * a1 (7 not dividing a1); and the
-    sign classes D1, D2, D3 of the odd primes other than 7."""
-
-    factors: tuple[tuple[int, int], ...]
-    s3: int
-    a1: int
-    d1: tuple[int, ...]
-    d2: tuple[int, ...]
-    d3: tuple[int, ...]
-
-    @property
-    def parity_exponent(self) -> int:
-        """eps = s1 + s2 + s3 + sum of e_i/2 over D2 + sum of e_i over D3.
-        Without s3 the symbol condition misclassifies every representable
-        delta whose a has an odd power of 7, e.g. -7 = (-7)^2 + (-2*sqrt(-14))^2."""
-        exps = dict(self.factors)
-        d2_halves = sum(exps[p] // 2 for p in self.d2)
-        return exps.get(2, 0) + exps.get(7, 0) + self.s3 + d2_halves + sum(exps[p] for p in self.d3)
-
-    @property
-    def a1_symbol(self) -> int:
-        """The Legendre symbol (a1|7); a1 is prime to 7, so it is +1 or -1."""
-        return numth.jacobi(self.a1, 7)
-
-
-def _partition(factors: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], ...]:
-    # every class needs (-1/p) = +1, that is p = 1 (mod 4), which leaves out
-    # 2 and 7; the rest come from factorize and are prime to 14, so each
-    # symbol is +1 or -1.  7 is a fourth power only if it is a square, so
-    # the one power here is the quartic test where (7/p) = +1.
-    d1, d2, d3 = [], [], []
-    for p, _ in factors:
-        if p % 4 != 1:
-            continue
-        r14, r7 = numth.jacobi(14, p) == 1, numth.jacobi(7, p) == 1
-        if r14 and not r7:
-            d1.append(p)
-        if not r14 and not r7:
-            d2.append(p)
-        if r14 and not (r7 and numth._euler_criterion(7, p)):
-            d3.append(p)
-    return tuple(d1), tuple(d2), tuple(d3)
-
-
-def norm_factorization(delta: QuadInt) -> NormFactorization:
-    """Extract (factors; s3, a1; D1, D2, D3) from delta over Z[sqrt(-14)].
-
-    Requires delta nonzero with nonzero rational coordinate a (the 7-part
-    of a is undefined otherwise).
-    """
-    if delta.d != DEFAULT_D:
-        raise ParameterError(f"norm factorization is specific to d={DEFAULT_D}, got d={delta.d}")
-    if delta.is_zero():
-        raise ParameterError("delta must be nonzero")
-    if delta.a == 0:
-        raise ParameterError("delta with a = 0 is outside the criterion's domain")
-    factors = tuple(numth.factorize(abs(delta.norm())))
-    s3 = numth.valuation(delta.a, 7)
-    a1 = delta.a // 7**s3
-    d1, d2, d3 = _partition(factors)
-    for p, e in factors:
-        # norms have even valuation at D2 primes: -14 is a nonresidue there
-        if e % 2 and p in d2:
-            raise RuntimeError(f"odd exponent {e} at D2 prime {p}; invariant violated")
-    return NormFactorization(factors, s3, a1, d1, d2, d3)

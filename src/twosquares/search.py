@@ -3,7 +3,10 @@ Z[sqrt(d)] behind a residue mask, a residue sieve that refutes deltas before
 the search, and the classical two-square search over Z.
 
 This module imports neither the local solver nor the number-theory kernels,
-so a refutation by the sieve stays an independent witness against them."""
+so a refutation by the sieve stays an independent witness against them.
+Its only path into numth is QuadInt's squarefree check on d, which
+ring._validate_ring_parameter caches per d; tests/test_search.py runs the
+sieve and the search with every numth and localsolve function raising."""
 
 from __future__ import annotations
 

@@ -12,10 +12,10 @@ from collections import Counter
 from oracles import _descend, brute_legendre, conic_solvable_qp, cutoff_depth
 from twosquares import numth
 from twosquares.cli import canonical_json
-from twosquares.criterion import DecisionStatus, verify_classical
+from twosquares.criterion import DecisionStatus, decide_qsqrt_m14, verify_classical
 from twosquares.hunt import hunt_counterexamples, result_lines
 from twosquares.localsolve import locally_solvable
-from twosquares.ring import QuadInt, norm_factorization
+from twosquares.ring import QuadInt
 
 # Found by the hunter itself over |a|,|b| <= 25 at bound 100, then frozen.
 # Every entry is locally solvable at all places yet criterion-rejected; the
@@ -177,7 +177,7 @@ def test_criterion_7_structural_invariants(acceptance_sweep):
         assert status[(a, -b)] == st, (a, b)
     d2_seen = 0
     for a, b in status:
-        nf = norm_factorization(QuadInt(a, b))
+        nf = decide_qsqrt_m14(QuadInt(a, b), None).factorization
         exps = dict(nf.factors)
         for p in nf.d2:
             d2_seen += 1

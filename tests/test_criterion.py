@@ -1,5 +1,6 @@
 """Decision procedures: the one decision body for every ring (the
-Z[sqrt(-14)] criterion inside decide_generic) and the rational baseline."""
+Z[sqrt(-14)] criterion and its norm-factorization data inside
+decide_generic) and the rational baseline."""
 
 import random
 
@@ -9,6 +10,7 @@ from oracles import brute_legendre, brute_two_squares, is_representation
 from twosquares import criterion, numth
 from twosquares.criterion import (
     DecisionStatus,
+    NormFactorization,
     decide_generic,
     decide_qsqrt_m14,
     decide_rational,
@@ -16,7 +18,7 @@ from twosquares.criterion import (
 )
 from twosquares.errors import ParameterError, ResourceLimitError
 from twosquares.localsolve import locally_solvable_everywhere
-from twosquares.ring import QuadInt, norm_factorization
+from twosquares.ring import QuadInt
 from twosquares.search import find_representation
 
 R = DecisionStatus.REPRESENTABLE
@@ -39,7 +41,8 @@ def test_parity_exponent_fixed():
         (17, 17): 2,
     }
     for (a, b), expected in cases.items():
-        assert norm_factorization(QuadInt(a, b)).parity_exponent == expected, (a, b)
+        nf = decide_qsqrt_m14(QuadInt(a, b), None).factorization
+        assert nf.parity_exponent == expected, (a, b)
 
 
 def test_decide_fixed_statuses():
@@ -122,7 +125,7 @@ def test_evidence_integrity():
         delta = QuadInt(rng.choice([n for n in range(-30, 31) if n]), rng.randrange(-30, 31))
         dec = decide_qsqrt_m14(delta, witness_bound=None)
         nf = dec.factorization
-        assert nf == norm_factorization(delta)
+        assert nf == criterion._norm_factorization(delta, tuple(numth.factorize(abs(delta.norm()))))
         exps = dict(nf.factors)
         s1, s2 = exps.get(2, 0), exps.get(7, 0)
         eps = s1 + s2 + nf.s3 + sum(exps[p] // 2 for p in nf.d2) + sum(exps[p] for p in nf.d3)
@@ -159,7 +162,10 @@ def test_negation_pairs_representables_with_global_obstructions():
 
 
 def test_decide_factors_norm_once(monkeypatch):
-    delta = QuadInt(-13, 2)
+    # every ring, a = 0 and a negative norm included; the deltas are built
+    # first, since a new d is checked by factoring |d|
+    d14 = [QuadInt(-13, 2), QuadInt(0, 5)]
+    others = [QuadInt(2, 0, -5), QuadInt(1, 1, 2), QuadInt(7, 2, 3)]
     calls = []
     factorize = numth.factorize
 
@@ -168,8 +174,61 @@ def test_decide_factors_norm_once(monkeypatch):
         return factorize(n)
 
     monkeypatch.setattr(numth, "factorize", counting)
-    decide_qsqrt_m14(delta)
-    assert calls == [delta.norm()]
+    for decide, deltas in ((decide_qsqrt_m14, d14), (decide_generic, others)):
+        for delta in deltas:
+            calls.clear()
+            decide(delta)
+            assert calls == [abs(delta.norm())], delta
+
+
+def test_norm_factorization_fixed():
+    cases = {
+        (1, 1): (((3, 1), (5, 1)), 0, 1, (5,), (), (5,)),
+        (2, 0): (((2, 2),), 0, 2, (), (), ()),
+        (-1, 0): ((), 0, -1, (), (), ()),
+        (-7, 0): (((7, 2),), 1, -1, (), (), ()),
+        (-14, 0): (((2, 2), (7, 2)), 1, -2, (), (), ()),
+        (3, 1): (((23, 1),), 0, 3, (), (), ()),
+        (25, 24): (((8689, 1),), 0, 25, (), (), (8689,)),
+        (3, 3): (((3, 3), (5, 1)), 0, 3, (5,), (), (5,)),
+        (5, 0): (((5, 2),), 0, 5, (5,), (), (5,)),
+        (9, 2): (((137, 1),), 0, 9, (), (), (137,)),
+        (1, 2): (((3, 1), (19, 1)), 0, 1, (), (), ()),
+    }
+    for (a, b), expected in cases.items():
+        nf = decide_qsqrt_m14(QuadInt(a, b), None).factorization
+        assert nf == NormFactorization(*expected), (a, b)
+
+
+def test_norm_factorization_d2_example():
+    # 17 has (-1|17) = 1, (14|17) = (7|17) = -1, so it lands in D2; it can
+    # only divide a norm when it divides both coordinates.
+    nf = decide_qsqrt_m14(QuadInt(17, 17), None).factorization
+    assert nf.d2 == (17,)
+    assert dict(nf.factors)[17] == 2
+
+
+def test_norm_factorization_reconstructs():
+    rng = random.Random(204)
+    for _ in range(300):
+        a = rng.choice([n for n in range(-60, 61) if n])
+        b = rng.randrange(-60, 61)
+        delta = QuadInt(a, b)
+        nf = decide_qsqrt_m14(delta, None).factorization
+        n = 1
+        for p, e in nf.factors:
+            assert numth.is_prime(p) and e > 0
+            n *= p**e
+        assert [p for p, _ in nf.factors] == sorted({p for p, _ in nf.factors})
+        assert n == abs(delta.norm())
+        assert 7 ** nf.s3 * nf.a1 == a and nf.a1 % 7 != 0
+
+
+def test_norm_factorization_checks_even_d2_exponents():
+    # -14 is a nonresidue mod a D2 prime, so no norm has an odd exponent
+    # there; a factorization claiming one is refused
+    with pytest.raises(RuntimeError, match="D2 prime 17"):
+        criterion._norm_factorization(QuadInt(1, 1), ((17, 1),))
 
 
 def test_decide_places_match_relevant_primes():

@@ -184,7 +184,8 @@ def test_sieve_against_local_solver_sets_discrepancy(monkeypatch):
     # force the sieve to refute everything, and the local solver to accept
     # every a = 0 delta: each record the local side accepts must be flagged
     monkeypatch.setattr(hunt, "residue_obstruction", lambda delta: 7)
-    monkeypatch.setattr(criterion, "locally_solvable_everywhere", lambda delta: (True, []))
+    report = criterion._local_report
+    monkeypatch.setattr(criterion, "_local_report", lambda delta, factors: report(delta, factors) if delta.a else ())
     res = hunt_counterexamples(2, 10)
     assert all(r["sieved_mod"] == 7 and r["search_states"] == 0 for r in res.records)
     flagged = [r for r in res.records if r["local_ok"]]

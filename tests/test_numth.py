@@ -15,7 +15,7 @@ from oracles import (
     quartic_residues,
     square_residues,
 )
-from twosquares import numth, ring
+from twosquares import criterion, numth, ring
 from twosquares.errors import FactorizationError, ParameterError
 
 ODD_PRIMES_200 = [p for p in range(3, 200) if all(p % q for q in range(2, p))]
@@ -329,13 +329,13 @@ def test_quadratic_characters_take_no_power(powers):
     both = [p for p in ones if euler(14, p) == euler(7, p) == 1]
     assert d1 and d2 and d3 and both
     factors = tuple((p, 1) for p in sorted({2, 7, *primes}))
-    assert ring._partition(factors) == (tuple(sorted(d1)), tuple(sorted(d2)), tuple(sorted(d3)))
+    assert criterion._partition(factors) == (tuple(sorted(d1)), tuple(sorted(d2)), tuple(sorted(d3)))
     assert [args[2] for args in powers] == sorted(both)
     powers.clear()
     for _ in range(200):
         a1 = rng.choice((-1, 1)) * rng.randrange(1, 10**30)
         if a1 % 7:
-            nf = ring.NormFactorization((), 0, a1, (), (), ())
+            nf = criterion.NormFactorization((), 0, a1, (), (), ())
             assert nf.a1_symbol == euler(a1, 7), a1
     assert powers == []
 

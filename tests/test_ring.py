@@ -1,19 +1,18 @@
-"""Quadratic ring arithmetic, splitting behavior, norm factorization."""
+"""Quadratic ring arithmetic, splitting behavior, and the D-set partition
+that the criterion reads off the norm's primes."""
 
 import random
 
 import pytest
 
 from oracles import brute_legendre, quartic_residues
-from twosquares import numth, ring
+from twosquares import criterion, numth, ring
 from twosquares.errors import ParameterError
 from twosquares.ring import (
     DEFAULT_D,
-    NormFactorization,
     Place,
     QuadInt,
     Splitting,
-    norm_factorization,
     parse_quadint,
 )
 
@@ -124,63 +123,12 @@ def test_place_labels():
     assert Place(7, ring._split_type(7, DEFAULT_D)).splitting is Splitting.RAMIFIED
 
 
-def test_norm_factorization_fixed():
-    cases = {
-        (1, 1): (((3, 1), (5, 1)), 0, 1, (5,), (), (5,)),
-        (2, 0): (((2, 2),), 0, 2, (), (), ()),
-        (-1, 0): ((), 0, -1, (), (), ()),
-        (-7, 0): (((7, 2),), 1, -1, (), (), ()),
-        (-14, 0): (((2, 2), (7, 2)), 1, -2, (), (), ()),
-        (3, 1): (((23, 1),), 0, 3, (), (), ()),
-        (25, 24): (((8689, 1),), 0, 25, (), (), (8689,)),
-        (3, 3): (((3, 3), (5, 1)), 0, 3, (5,), (), (5,)),
-        (5, 0): (((5, 2),), 0, 5, (5,), (), (5,)),
-        (9, 2): (((137, 1),), 0, 9, (), (), (137,)),
-        (1, 2): (((3, 1), (19, 1)), 0, 1, (), (), ()),
-    }
-    for (a, b), expected in cases.items():
-        nf = norm_factorization(QuadInt(a, b))
-        assert nf == NormFactorization(*expected), (a, b)
-
-
-def test_norm_factorization_d2_example():
-    # 17 has (-1|17) = 1, (14|17) = (7|17) = -1, so it lands in D2; it can
-    # only divide a norm when it divides both coordinates.
-    nf = norm_factorization(QuadInt(17, 17))
-    assert nf.d2 == (17,)
-    assert dict(nf.factors)[17] == 2
-
-
-def test_norm_factorization_reconstructs():
-    rng = random.Random(204)
-    for _ in range(300):
-        a = rng.choice([n for n in range(-60, 61) if n])
-        b = rng.randrange(-60, 61)
-        delta = QuadInt(a, b)
-        nf = norm_factorization(delta)
-        n = 1
-        for p, e in nf.factors:
-            assert numth.is_prime(p) and e > 0
-            n *= p**e
-        assert [p for p, _ in nf.factors] == sorted({p for p, _ in nf.factors})
-        assert n == abs(delta.norm())
-        assert 7 ** nf.s3 * nf.a1 == a and nf.a1 % 7 != 0
-
-
-def test_norm_factorization_checks_even_d2_exponents(monkeypatch):
-    # -14 is a nonresidue mod a D2 prime, so no norm has an odd exponent
-    # there; a factorization claiming one is refused
-    monkeypatch.setattr(numth, "factorize", lambda n: [(17, 1)])
-    with pytest.raises(RuntimeError, match="D2 prime 17"):
-        norm_factorization(QuadInt(1, 1))
-
-
 def test_partition_matches_symbol_definitions():
     rng = random.Random(205)
     for _ in range(200):
         a = rng.choice([n for n in range(-60, 61) if n])
         b = rng.randrange(-60, 61)
-        nf = norm_factorization(QuadInt(a, b))
+        nf = criterion.decide_qsqrt_m14(QuadInt(a, b), None).factorization
         for p, _ in nf.factors:
             in_d1 = brute_legendre(-1, p) == 1 == brute_legendre(14, p) and brute_legendre(7, p) == -1
             in_d2 = (
@@ -203,17 +151,8 @@ def test_partition_does_not_reprove_primes(monkeypatch):
     is_prime = numth.is_prime
     monkeypatch.setattr(numth, "is_prime", lambda n: calls.append(n) or is_prime(n))
     primes = ((2, 3), (3, 1), (5, 2), (7, 1), (13, 1), (17, 1), (1009, 1), (1000000007, 1))
-    assert ring._partition(primes) == ((5, 13), (17,), (5, 13))
+    assert criterion._partition(primes) == ((5, 13), (17,), (5, 13))
     assert calls == []
-
-
-def test_norm_factorization_rejects():
-    with pytest.raises(ParameterError):
-        norm_factorization(QuadInt(0, 0))
-    with pytest.raises(ParameterError, match="a = 0"):
-        norm_factorization(QuadInt(0, 3))
-    with pytest.raises(ParameterError):
-        norm_factorization(QuadInt(1, 1, -2))
 
 
 def test_default_ring_parameter():

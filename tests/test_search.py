@@ -14,7 +14,7 @@ from oracles import (
     mask_rows,
     sums_of_two_squares_mod,
 )
-from twosquares import search
+from twosquares import localsolve, numth, search
 from twosquares.errors import ParameterError, ResourceLimitError
 from twosquares.ring import QuadInt
 from twosquares.search import (
@@ -181,6 +181,39 @@ def test_sieve_is_independent_of_the_local_solver():
         if isinstance(node, ast.ImportFrom):
             imported |= {node.module or ""} | {alias.name for alias in node.names}
     assert not imported & {"localsolve", "numth"}, imported
+
+
+def test_search_shares_no_code_with_the_solver(monkeypatch):
+    # test_unit_bound checks decide_generic against this search, so the
+    # search must not run the kernels it checks: with every numth and
+    # localsolve function raising, the sieve and the search answer as
+    # before.  QuadInt factors |d| once per d (ring._validate_ring_parameter),
+    # so the deltas are built first.
+    box = range(-12, 13)
+    deltas = [QuadInt(a, b, d) for d in (-14, -5, 2) for a in box for b in box]
+
+    def run():
+        return [(residue_obstruction(delta), find_representation(delta, 100)) for delta in deltas]
+
+    def refusing(name):
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"search called {name}")
+
+        return refuse
+
+    expected = run()
+    for cached in vars(search).values():
+        if hasattr(cached, "cache_clear"):
+            cached.cache_clear()
+    patched = 0
+    for module in (numth, localsolve):
+        for name, obj in list(vars(module).items()):
+            if callable(obj) and not isinstance(obj, type) and obj.__module__ == module.__name__:
+                monkeypatch.setattr(module, name, refusing(f"{module.__name__}.{name}"))
+                patched += 1
+    assert patched > 20
+    assert run() == expected
+    assert sum(report.witness is not None for _, report in expected) == 291
 
 
 def test_sieved_deltas_have_no_witness():
