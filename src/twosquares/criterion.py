@@ -6,6 +6,7 @@ witness search) and the classical test over Z."""
 from __future__ import annotations
 
 import enum
+from functools import lru_cache
 from math import isqrt
 from typing import NamedTuple
 
@@ -53,23 +54,21 @@ class NormFactorization(NamedTuple):
         return numth.jacobi(self.a1, 7)
 
 
+@lru_cache(maxsize=256)
+def _d_classes(p: int) -> tuple[bool, bool, bool]:
+    # whether an odd prime p = 1 (mod 4) other than 7 lies in D1, D2, D3;
+    # it comes from factorize, so each symbol is +1 or -1.  7 is a fourth
+    # power only if it is a square, so the one power here is the quartic
+    # test where (7/p) = +1.
+    r14, r7 = numth.jacobi(14, p) == 1, numth.jacobi(7, p) == 1
+    return r14 and not r7, not r14 and not r7, r14 and not (r7 and numth._euler_criterion(7, p))
+
+
 def _partition(factors: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], ...]:
     # every class needs (-1/p) = +1, that is p = 1 (mod 4), which leaves out
-    # 2 and 7; the rest come from factorize and are prime to 14, so each
-    # symbol is +1 or -1.  7 is a fourth power only if it is a square, so
-    # the one power here is the quartic test where (7/p) = +1.
-    d1, d2, d3 = [], [], []
-    for p, _ in factors:
-        if p % 4 != 1:
-            continue
-        r14, r7 = numth.jacobi(14, p) == 1, numth.jacobi(7, p) == 1
-        if r14 and not r7:
-            d1.append(p)
-        if not r14 and not r7:
-            d2.append(p)
-        if r14 and not (r7 and numth._euler_criterion(7, p)):
-            d3.append(p)
-    return tuple(d1), tuple(d2), tuple(d3)
+    # 2 and 7; a hunt meets the same few dozen primes again and again
+    members = [(p, _d_classes(p)) for p, _ in factors if p % 4 == 1]
+    return tuple(tuple(p for p, classes in members if classes[k]) for k in range(3))
 
 
 def _norm_factorization(delta: QuadInt, factors: tuple[tuple[int, int], ...]) -> NormFactorization:

@@ -1,6 +1,8 @@
 """Brute-force ground truth: bounded exhaustive representation search over
-Z[sqrt(d)] behind a residue mask, a residue sieve that refutes deltas before
-the search, and the classical two-square search over Z.
+Z[sqrt(d)] behind a residue mask, which for d < -1 scans only the witnesses
+under c*sqrt(N(delta)) and walks their orbits under the Pell unit, a
+residue sieve that refutes deltas before the search, and the classical
+two-square search over Z.
 
 This module imports neither the local solver nor the number-theory kernels,
 so a refutation by the sieve stays an independent witness against them.
@@ -10,6 +12,7 @@ sieve and the search with every numth and localsolve function raising."""
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from functools import lru_cache, partial, reduce
 from math import isqrt
 from operator import and_
@@ -133,24 +136,128 @@ def _check_bound(bound: int) -> None:
         raise ResourceLimitError(f"search bound {bound} exceeds {MAX_SEARCH_BOUND}")
 
 
+@lru_cache(maxsize=64)
+def _pell_unit(d: int) -> tuple[int, int] | None:
+    # The least c > 1 with c^2 - |d| e^2 = 1, as (c, e), for d < -1, or None
+    # once c would pass MAX_SEARCH_BOUND**2: the orbit route needs
+    # lim >= c to fit under bound**2, so a larger unit never serves it, and
+    # the cap ends the loop where the unit is huge (c ~ 1.6e37 at d = -661).
+    cap = MAX_SEARCH_BOUND**2
+    e = 1
+    while (cc := 1 - d * e * e) <= cap * cap:
+        c = isqrt(cc)
+        if c * c == cc:
+            return c, e
+        e += 1
+    return None
+
+
+def _live_rows(delta: QuadInt, bound: int, top: int, moduli: tuple[int, ...]) -> Iterator[int]:
+    # The masks of u = -top..0 at the bound, each row bit v + bound: each
+    # modulus's rows repeated and sliced to rows[u % m], and the lazy maps
+    # AND them one u at a time, so a hit stops the ANDs too.
+    columns = []
+    for m in moduli:
+        rows, start = _mask_rows(delta.d, m, delta.a % m, delta.b % m, bound), -top % m
+        columns.append((rows * (top // m + 2))[start : start + top + 1])
+    return reduce(partial(map, and_), columns)
+
+
+def _root_of_rest(delta: QuadInt, u: int, v: int, bound: int) -> tuple[int, int] | None:
+    # the first y with y^2 = delta - x^2, x = u + v*sqrt(d), within the bound
+    d = delta.d
+    w, z = delta.a - u * u - d * v * v, delta.b - 2 * u * v
+    # a square's norm is a square; this test alone turns away most x
+    n = w * w - d * z * z
+    r = isqrt(n) if n >= 0 else -1
+    return _square_root(w, z, r, d, bound) if r * r == n else None
+
+
+def _box_witness(delta: QuadInt, bound: int) -> tuple[int, int, int, int] | None:
+    # the first witness (u, v, s, t) of the u <= 0 half-box in (u, v) order
+    for u, live in zip(range(-bound, 1), _live_rows(delta, bound, bound, MASK_MODULI)):
+        while live:
+            low = live & -live
+            v = low.bit_length() - 1 - bound
+            if (root := _root_of_rest(delta, u, v, bound)) is not None:
+                return (u, v, *root)
+            live ^= low
+    return None
+
+
+def _orbit_witness(delta: QuadInt, bound: int, lim: int, c: int, e: int) -> tuple[int, int, int, int] | None:
+    # The least witness (u, v, s, t) of the box, for d < -1 and
+    # lim <= bound**2, from the representatives Q <= lim (see
+    # find_representation) and their orbits under eps = c + e*sqrt|d|.
+    d = delta.d
+    # The window is about 1/50 of the half-box, so the rows mod 7 and 13,
+    # built cold for each new delta, would cost more than the few x they
+    # turn away; (16, 9, 5) keeps the cheap ones.
+    top = isqrt(lim)
+    reps = []
+    for u, live in zip(range(-top, 1), _live_rows(delta, bound, top, MASK_MODULI[:3])):
+        uu = u * u
+        span = isqrt((lim - uu) // -d)
+        live = live >> bound - span & (1 << 2 * span + 1) - 1
+        while live:
+            low = live & -live
+            v = low.bit_length() - 1 - span
+            if (root := _root_of_rest(delta, u, v, bound)) is not None:
+                s, t = root
+                if uu - d * v * v + s * s - d * t * t <= lim:
+                    reps.append((u, v, s, t))
+            live ^= low
+    # Q is convex along an orbit and every representative has
+    # Q <= lim <= bound**2, so past the first step above the largest Q of
+    # the box, a direction leaves the box for good.
+    largest = 2 * (1 - d) * bound * bound
+    found = []
+    for rep in reps:
+        points = [rep]
+        for f in (e, -e):
+            u, v, s, t = rep
+            while True:
+                u, v, s, t = c * u + f * d * t, c * v + f * s, c * s - f * d * v, c * t - f * u
+                if u * u - d * v * v + s * s - d * t * t > largest:
+                    break
+                points.append((u, v, s, t))
+        for u, v, s, t in points:
+            if max(abs(u), abs(v), abs(s), abs(t)) <= bound:
+                # the least of the 8 images (+-x, +-y) and (+-y, +-x)
+                x, y = min((u, v), (-u, -v)), min((s, t), (-s, -t))
+                found.append(min(x + y, y + x))
+    return min(found, default=None)
+
+
 def find_representation(delta: QuadInt, bound: int) -> SearchReport:
     """Exhaustive search for x, y with x^2 + y^2 = delta and all coordinates
     within [-bound, bound].
 
     Returns the lexicographically smallest witness by (x.a, x.b, y.a, y.b).
-    With (u, v, s, t) a witness so is (-u, -v, s, t), so that witness has
-    x.a <= 0 and only u <= 0 is scanned, in (u, v) order; an x = u + v*sqrt(d)
-    with delta - x^2 not a square mod some m in MASK_MODULI is skipped, as it
-    holds no witness.  For each x left, y is the first square root of
-    delta - x^2 in (s, t) order, found exactly from its norm.
     `states_examined` is the position of the witness's x in the scan of
-    every (u, v) of the box, skipped ones included, and a miss reports the
-    whole box, (2*bound + 1)^2.  An odd b coordinate is rejected
-    outright (0 states): the sqrt(d) coordinate of x^2 + y^2 is 2(uv + st),
-    always even.  For d < 0 a norm above (2(1 - d)*bound^2)^2 is a miss
-    without a scan: every coordinate-bounded x has |x|^2 = u^2 - d*v^2 <=
+    every (u, v) of the box in (u, v) order, and a miss reports the whole
+    box, (2*bound + 1)^2.  An odd b coordinate is rejected outright
+    (0 states): the sqrt(d) coordinate of x^2 + y^2 is 2(uv + st), always
+    even.  For d < 0 a norm above (2(1 - d)*bound^2)^2 is a miss without a
+    scan: every coordinate-bounded x has |x|^2 = u^2 - d*v^2 <=
     (1 - d)*bound^2.  A bound below 1 raises ParameterError and one above
     MAX_SEARCH_BOUND ResourceLimitError, whatever delta is.
+
+    For d < -1, with Q = u^2 + |d| v^2 + s^2 + |d| t^2 for x = u + v*sqrt(d)
+    and y = s + t*sqrt(d), every witness is eps^k times one with
+    Q <= c*sqrt(N(delta)), where eps = c + e*sqrt|d| is the least Pell unit
+    (sqrt|d| = -i*sqrt(d), so eps lies in Z[sqrt(d)][i] and keeps
+    x^2 + y^2): eps scales |x + iy|^2 by eps^2 and |x - iy|^2 by eps^-2 in
+    a complex embedding, their product is N(delta) and Q is half their
+    sum.  So when lim = isqrt(c^2 N(delta)) + 1 <= bound^2 the search
+    scans only those representatives, behind the masks mod 16, 9 and 5,
+    and walks each one's eps-orbit through the box; a miss then proves
+    that delta is no sum of two squares at all.  Otherwise (d = -1, d > 0,
+    a large norm or a unit past MAX_SEARCH_BOUND**2) it scans the u <= 0
+    half-box in (u, v) order, as (-u, -v, s, t) is a witness with
+    (u, v, s, t), and skips every x with delta - x^2 not a square mod
+    some m in MASK_MODULI.  Either way y is the first square root of
+    delta - x^2 in (s, t) order, found exactly from its norm.
     """
     _check_bound(bound)
     d = delta.d
@@ -160,31 +267,17 @@ def find_representation(delta: QuadInt, bound: int) -> SearchReport:
     if delta.b % 2:
         return SearchReport(None, 0)
     width = 2 * bound + 1
-    if d < 0 and delta.norm() > (2 * (1 - d) * bound * bound) ** 2:
+    if d < 0 and (norm := delta.norm()) > (2 * (1 - d) * bound * bound) ** 2:
         return SearchReport(None, width * width)
-    a, b = delta.a, delta.b
-    # Each modulus's rows repeated and sliced to rows[u % m] for u = -bound..0;
-    # the lazy maps AND them one u at a time, so a hit stops the ANDs too.
-    columns = []
-    for m in MASK_MODULI:
-        rows, start = _mask_rows(d, m, a % m, b % m, bound), -bound % m
-        columns.append((rows * (bound // m + 2))[start : start + bound + 1])
-    lives = reduce(partial(map, and_), columns)
-    for u, live in zip(range(-bound, 1), lives):
-        uu = u * u
-        while live:
-            low = live & -live
-            v = low.bit_length() - 1 - bound
-            w, z = a - uu - d * v * v, b - 2 * u * v
-            # a square's norm is a square; this test alone turns away most x
-            n = w * w - d * z * z
-            r = isqrt(n) if n >= 0 else -1
-            if r * r == n and (root := _square_root(w, z, r, d, bound)) is not None:
-                s, t = root
-                witness = (QuadInt(u, v, d), QuadInt(s, t, d))
-                return SearchReport(witness, (u + bound) * width + v + bound + 1)
-            live ^= low
-    return SearchReport(None, width * width)
+    unit = _pell_unit(d) if d < -1 else None
+    if unit is not None and (lim := isqrt(unit[0] ** 2 * norm) + 1) <= bound * bound:
+        found = _orbit_witness(delta, bound, lim, *unit)
+    else:
+        found = _box_witness(delta, bound)
+    if found is None:
+        return SearchReport(None, width * width)
+    u, v, s, t = found
+    return SearchReport((QuadInt(u, v, d), QuadInt(s, t, d)), (u + bound) * width + v + bound + 1)
 
 
 def two_square_search(n: int) -> tuple[int, int] | None:

@@ -293,6 +293,7 @@ def test_everywhere_does_not_reprove_primes(monkeypatch):
     calls = []
     is_prime = numth.is_prime
     monkeypatch.setattr(numth, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    localsolve._place.cache_clear()  # so every place is classified again
     for (delta, factors), want in zip(cases, expected):
         verdicts = _local_report(delta, factors)
         assert list(verdicts[1:]) == want, delta

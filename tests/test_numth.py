@@ -321,7 +321,8 @@ def test_quadratic_characters_take_no_power(powers):
             assert ring._split_type(p, d) is expected, (p, d)
     assert powers == []
     # 7 is a fourth power only where it is a square: _partition's one power
-    # is that quartic test, where 14 and 7 are both squares
+    # is that quartic test, where 14 and 7 are both squares; its per-prime
+    # cache is emptied first, so every prime is classified here
     ones = [p for p in primes if p % 4 == 1]
     d1 = [p for p in ones if euler(14, p) == 1 and euler(7, p) == -1]
     d2 = [p for p in ones if euler(14, p) == -1 and euler(7, p) == -1]
@@ -329,6 +330,7 @@ def test_quadratic_characters_take_no_power(powers):
     both = [p for p in ones if euler(14, p) == euler(7, p) == 1]
     assert d1 and d2 and d3 and both
     factors = tuple((p, 1) for p in sorted({2, 7, *primes}))
+    criterion._d_classes.cache_clear()
     assert criterion._partition(factors) == (tuple(sorted(d1)), tuple(sorted(d2)), tuple(sorted(d3)))
     assert [args[2] for args in powers] == sorted(both)
     powers.clear()

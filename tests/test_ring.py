@@ -146,10 +146,12 @@ def test_partition_matches_symbol_definitions():
 
 
 def test_partition_does_not_reprove_primes(monkeypatch):
-    # the primes come from factorize; classifying them tests none again
+    # the primes come from factorize; classifying them tests none again,
+    # with the per-prime cache emptied so that every prime is classified
     calls = []
     is_prime = numth.is_prime
     monkeypatch.setattr(numth, "is_prime", lambda n: calls.append(n) or is_prime(n))
+    criterion._d_classes.cache_clear()
     primes = ((2, 3), (3, 1), (5, 2), (7, 1), (13, 1), (17, 1), (1009, 1), (1000000007, 1))
     assert criterion._partition(primes) == ((5, 13), (17,), (5, 13))
     assert calls == []

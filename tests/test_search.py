@@ -4,6 +4,7 @@ import ast
 import inspect
 import itertools
 import random
+from math import isqrt
 
 import pytest
 
@@ -237,3 +238,141 @@ def test_two_square_search_vs_brute():
             x, y = got
             assert x * x + y * y == n
             assert got == expected  # both scan from the smallest x
+
+
+ORBIT_RINGS = (-2, -5, -6, -10, -13, -14, -21, -22, -30)
+
+
+def _box_report(delta, bound):
+    # the half-box scan's report, kept in search as the fallback of the
+    # orbit route and its reference here
+    width = 2 * bound + 1
+    found = search._box_witness(delta, bound)
+    if found is None:
+        return None, width * width
+    u, v, s, t = found
+    return (QuadInt(u, v, delta.d), QuadInt(s, t, delta.d)), (u + bound) * width + v + bound + 1
+
+
+@pytest.fixture
+def box_scans(monkeypatch):
+    # the deltas that find_representation hands to the box scan
+    scanned = []
+    box = search._box_witness
+    monkeypatch.setattr(search, "_box_witness", lambda delta, bound: scanned.append(delta) or box(delta, bound))
+    return scanned
+
+
+def _lim(delta):
+    c, _ = search._pell_unit(delta.d)
+    return isqrt(c * c * delta.norm()) + 1
+
+
+def test_orbit_route_equals_the_box_scan(box_scans):
+    # Wherever the route runs it must find the box scan's witness at the
+    # box scan's position; elsewhere find_representation is the box scan.
+    # A delta the residue sieve refutes has no witness, so there the route
+    # must miss, and the box scan is run only on the rest.
+    routed, scanned = {}, 0
+    for d in ORBIT_RINGS:
+        for bound in (7, 20, 50, 100):
+            miss = (None, (2 * bound + 1) ** 2)
+            for a in range(-40, 41):
+                for b in range(-40, 41, 2):
+                    if a or b:
+                        delta = QuadInt(a, b, d)
+                        box_scans.clear()
+                        r = tuple(find_representation(delta, bound))
+                        if box_scans:
+                            continue
+                        routed[d] = routed.get(d, 0) + 1
+                        if residue_obstruction(delta) is not None:
+                            assert r == miss, (delta, bound)
+                        else:
+                            scanned += 1
+                            assert r == _box_report(delta, bound), (delta, bound)
+    assert routed == {
+        -2: 10254, -5: 7994, -6: 9230, -10: 6856, -13: 112, -14: 6948, -21: 3828, -22: 844, -30: 7038
+    }
+    assert scanned == 28672
+
+
+def test_orbit_route_at_the_switch(box_scans):
+    # seeded deltas with lim = bound**2 - 1 and bound**2 take the route,
+    # those with lim = bound**2 + 1 the box scan, and both answer alike
+    rng = random.Random(405)
+    sides = {-1: 0, 0: 0, 1: 0}
+    for d in (-5, -14, -21):
+        c, _ = search._pell_unit(d)
+        for bound in (30, 60, 100):
+            # lim - 1 = isqrt(c^2 N) in [bound^2 - 2, bound^2] needs N in [low, high]
+            low, high = (bound * bound - 2) ** 2 // (c * c), (bound * bound + 1) ** 2 // (c * c)
+            near = set()
+            for b in range(-isqrt(high // -d), isqrt(high // -d) + 1, 2):
+                for a in range(isqrt(max(low + d * b * b, 0)), isqrt(high + d * b * b) + 1):
+                    near |= {QuadInt(a, b, d), QuadInt(-a, b, d)}
+            near = sorted(delta for delta in near if abs(_lim(delta) - bound * bound) <= 1)
+            for delta in rng.sample(near, min(len(near), 12)):
+                side = _lim(delta) - bound * bound
+                sides[side] += 1
+                box_scans.clear()
+                r = find_representation(delta, bound)
+                assert box_scans == ([delta] if side == 1 else []), (delta, bound)
+                assert tuple(r) == _box_report(delta, bound), (delta, bound)
+    assert min(sides.values()) >= 10, sides
+
+
+def test_orbit_route_matches_the_unmasked_scan(box_scans):
+    # full_box_scan shares no code with search, so neither the masks nor
+    # the orbit walk are trusted here; half the deltas are built as sums
+    rng = random.Random(406)
+    routed = 0
+    for k in range(40):
+        d, bound = rng.choice(ORBIT_RINGS), rng.choice((20, 30, 50))
+        if k % 2:
+            x, y = (QuadInt(rng.randrange(-9, 10), rng.randrange(-3, 4), d) for _ in "xy")
+            delta = x * x + y * y
+        else:
+            delta = QuadInt(rng.randrange(-40, 41), 2 * rng.randrange(-10, 11), d)
+        if delta.is_zero():
+            continue
+        box_scans.clear()
+        r = find_representation(delta, bound)
+        routed += not box_scans
+        assert tuple(r) == full_box_scan(delta, bound), (delta, bound)
+    assert routed >= 20
+
+
+def test_unit_search_is_capped(monkeypatch):
+    # Past MAX_SEARCH_BOUND**2 a unit never fits, so the Pell loop stops
+    # there: at d = -661 the least unit has c ~ 1.6e37, and at d = -94
+    # c = 2,143,295.  Both deltas go to the box scan, with the answers the
+    # box scan has always given.
+    steps = []
+    monkeypatch.setattr(search, "isqrt", lambda n: steps.append(n) or isqrt(n))
+    cap = search.MAX_SEARCH_BOUND**2
+    for d, unit in ((-661, None), (-94, None), (-13, (649, 180)), (-22, (197, 42))):
+        search._pell_unit.cache_clear()
+        steps.clear()
+        assert search._pell_unit(d) == unit
+        assert len(steps) <= cap // isqrt(-d) + 1, d
+    monkeypatch.undo()
+    r = find_representation(QuadInt(1, 0, -661), 50)
+    assert r.witness == (QuadInt(-1, 0, -661), QuadInt(0, 0, -661)) and r.states_examined == 5000
+    r = find_representation(QuadInt(5, 0, -94), 50)
+    assert r.witness == (QuadInt(-2, 0, -94), QuadInt(-1, 0, -94)) and r.states_examined == 4899
+
+
+def test_large_units_take_the_route_where_it_fits(monkeypatch):
+    # the route reads the masks mod 16, 9 and 5, the box scan all five
+    built = []
+    rows = search._mask_rows
+    monkeypatch.setattr(search, "_mask_rows", lambda *key: built.append(key[1]) or rows(*key))
+    route, box = list(search.MASK_MODULI[:3]), list(search.MASK_MODULI)
+    # d = -13 (c = 649): 1 has lim = 650; d = -22 (c = 197): 3 has lim = 592
+    for delta, fits, misses in ((QuadInt(1, 0, -13), 26, 25), (QuadInt(3, 0, -22), 25, 24)):
+        for bound, moduli in ((fits, route), (misses, box)):
+            built.clear()
+            r = find_representation(delta, bound)
+            assert built == moduli, (delta, bound)
+            assert tuple(r) == full_box_scan(delta, bound), (delta, bound)
