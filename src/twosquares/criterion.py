@@ -14,7 +14,7 @@ from . import numth
 from .errors import ParameterError
 from .localsolve import LocalVerdict, _local_report
 from .ring import DEFAULT_D, Place, QuadInt
-from .search import _check_bound, find_representation, two_square_search, verify_witness
+from .search import _check_bound, _miss_is_proof, find_representation, two_square_search, verify_witness
 
 DEFAULT_WITNESS_BOUND = 50
 
@@ -168,8 +168,10 @@ def decide_rational(n: int) -> Decision:
 def decide_generic(delta: QuadInt, search_bound: int | None = DEFAULT_WITNESS_BOUND) -> Decision:
     """The decision for nonzero delta in any supported ring, on one
     factorization of N(delta).  The local walk refutes; for d = -14 and
-    a != 0 the symbol condition decides the rest exactly, and elsewhere a
-    found witness confirms, else UNKNOWN.
+    a != 0 the symbol condition decides the rest exactly.  Elsewhere a
+    found witness confirms, a miss that covers every witness (the orbit
+    route for d < -1, the whole box for d > 0) refutes, and any other miss
+    is UNKNOWN.
 
     search_bound caps the search for a witness (None skips it); where the
     criterion applies, the verdict never depends on it."""
@@ -188,7 +190,12 @@ def decide_generic(delta: QuadInt, search_bound: int | None = DEFAULT_WITNESS_BO
     if nf is not None and not nf.d1 and nf.a1_symbol != (-1) ** nf.parity_exponent:
         return Decision(delta, DecisionStatus.GLOBAL_OBSTRUCTION, report, nf)
     witness = None if search_bound is None else find_representation(delta, search_bound).witness
-    status = DecisionStatus.REPRESENTABLE if nf is not None or witness is not None else DecisionStatus.UNKNOWN
+    if nf is not None or witness is not None:
+        status = DecisionStatus.REPRESENTABLE
+    elif search_bound is not None and _miss_is_proof(delta, search_bound):
+        status = DecisionStatus.GLOBAL_OBSTRUCTION
+    else:
+        status = DecisionStatus.UNKNOWN
     return Decision(delta, status, report, nf, witness)
 
 

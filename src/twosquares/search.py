@@ -1,8 +1,9 @@
 """Brute-force ground truth: bounded exhaustive representation search over
-Z[sqrt(d)] behind a residue mask, which for d < -1 scans only the witnesses
-under c*sqrt(N(delta)) and walks their orbits under the Pell unit, a
-residue sieve that refutes deltas before the search, and the classical
-two-square search over Z.
+Z[sqrt(d)], whose one masked walk over x either scans the u <= 0 half-box
+or, for d < -1, finds the witnesses under c*sqrt(N(delta)) and walks their
+orbits under the Pell unit (a miss there, or for d > 0 in a box that holds
+every witness, proves there is none); a residue sieve that refutes deltas
+before the search; and the classical two-square search over Z.
 
 This module imports neither the local solver nor the number-theory kernels,
 so a refutation by the sieve stays an independent witness against them.
@@ -152,37 +153,58 @@ def _pell_unit(d: int) -> tuple[int, int] | None:
     return None
 
 
-def _live_rows(delta: QuadInt, bound: int, top: int, moduli: tuple[int, ...]) -> Iterator[int]:
-    # The masks of u = -top..0 at the bound, each row bit v + bound: each
-    # modulus's rows repeated and sliced to rows[u % m], and the lazy maps
-    # AND them one u at a time, so a hit stops the ANDs too.
+def _unit_route(delta: QuadInt, bound: int) -> tuple[int, int, int] | None:
+    # (lim, c, e) where find_representation takes the orbit route: d < -1,
+    # a unit eps = c + e*sqrt|d| under the cap, and lim = isqrt(c^2 N) + 1
+    # <= bound**2; else None
+    unit = _pell_unit(delta.d) if delta.d < -1 else None
+    if unit is None:
+        return None
+    lim = isqrt(unit[0] ** 2 * delta.norm()) + 1
+    return (lim, *unit) if lim <= bound * bound else None
+
+
+def _miss_is_proof(delta: QuadInt, bound: int) -> bool:
+    # Whether a miss of find_representation at the bound proves that delta
+    # is no sum of two squares: on the orbit route, or for d > 0, where
+    # every witness has u^2 + d v^2 + s^2 + d t^2 = a, so the box holds
+    # them all once a < (bound + 1)^2
+    if delta.d > 0:
+        return delta.a < (bound + 1) ** 2
+    return _unit_route(delta, bound) is not None
+
+
+def _witnesses(
+    delta: QuadInt, bound: int, moduli: tuple[int, ...], spans: list[int]
+) -> Iterator[tuple[int, int, int, int]]:
+    # Every witness (u, v, s, t) with u = -top..0 (top = len(spans) - 1) and
+    # |v| <= spans[u + top], in (u, v) order, y the first square root of
+    # delta - x^2 within the bound.  Each modulus's rows at the bound are
+    # repeated and sliced to rows[u % m], and the lazy maps AND them one u
+    # at a time, so a caller that stops at a hit stops the ANDs too.
+    a, b, d = delta.a, delta.b, delta.d
+    top = len(spans) - 1
     columns = []
     for m in moduli:
-        rows, start = _mask_rows(delta.d, m, delta.a % m, delta.b % m, bound), -top % m
+        rows, start = _mask_rows(d, m, a % m, b % m, bound), -top % m
         columns.append((rows * (top // m + 2))[start : start + top + 1])
-    return reduce(partial(map, and_), columns)
-
-
-def _root_of_rest(delta: QuadInt, u: int, v: int, bound: int) -> tuple[int, int] | None:
-    # the first y with y^2 = delta - x^2, x = u + v*sqrt(d), within the bound
-    d = delta.d
-    w, z = delta.a - u * u - d * v * v, delta.b - 2 * u * v
-    # a square's norm is a square; this test alone turns away most x
-    n = w * w - d * z * z
-    r = isqrt(n) if n >= 0 else -1
-    return _square_root(w, z, r, d, bound) if r * r == n else None
+    for u, span, live in zip(range(-top, 1), spans, reduce(partial(map, and_), columns)):
+        live = live >> bound - span & (1 << 2 * span + 1) - 1  # bit v + span
+        while live:
+            low = live & -live
+            v = low.bit_length() - 1 - span
+            w, z = a - u * u - d * v * v, b - 2 * u * v
+            # a square's norm is a square; this test alone turns away most x
+            n = w * w - d * z * z
+            r = isqrt(n) if n >= 0 else -1
+            if r * r == n and (root := _square_root(w, z, r, d, bound)) is not None:
+                yield (u, v, *root)
+            live ^= low
 
 
 def _box_witness(delta: QuadInt, bound: int) -> tuple[int, int, int, int] | None:
     # the first witness (u, v, s, t) of the u <= 0 half-box in (u, v) order
-    for u, live in zip(range(-bound, 1), _live_rows(delta, bound, bound, MASK_MODULI)):
-        while live:
-            low = live & -live
-            v = low.bit_length() - 1 - bound
-            if (root := _root_of_rest(delta, u, v, bound)) is not None:
-                return (u, v, *root)
-            live ^= low
-    return None
+    return next(_witnesses(delta, bound, MASK_MODULI, [bound] * (bound + 1)), None)
 
 
 def _orbit_witness(delta: QuadInt, bound: int, lim: int, c: int, e: int) -> tuple[int, int, int, int] | None:
@@ -193,20 +215,9 @@ def _orbit_witness(delta: QuadInt, bound: int, lim: int, c: int, e: int) -> tupl
     # The window is about 1/50 of the half-box, so the rows mod 7 and 13,
     # built cold for each new delta, would cost more than the few x they
     # turn away; (16, 9, 5) keeps the cheap ones.
-    top = isqrt(lim)
-    reps = []
-    for u, live in zip(range(-top, 1), _live_rows(delta, bound, top, MASK_MODULI[:3])):
-        uu = u * u
-        span = isqrt((lim - uu) // -d)
-        live = live >> bound - span & (1 << 2 * span + 1) - 1
-        while live:
-            low = live & -live
-            v = low.bit_length() - 1 - span
-            if (root := _root_of_rest(delta, u, v, bound)) is not None:
-                s, t = root
-                if uu - d * v * v + s * s - d * t * t <= lim:
-                    reps.append((u, v, s, t))
-            live ^= low
+    spans = [isqrt((lim - u * u) // -d) for u in range(-isqrt(lim), 1)]
+    walk = _witnesses(delta, bound, MASK_MODULI[:3], spans)
+    reps = [(u, v, s, t) for u, v, s, t in walk if u * u - d * v * v + s * s - d * t * t <= lim]
     # Q is convex along an orbit and every representative has
     # Q <= lim <= bound**2, so past the first step above the largest Q of
     # the box, a direction leaves the box for good.
@@ -256,8 +267,11 @@ def find_representation(delta: QuadInt, bound: int) -> SearchReport:
     a large norm or a unit past MAX_SEARCH_BOUND**2) it scans the u <= 0
     half-box in (u, v) order, as (-u, -v, s, t) is a witness with
     (u, v, s, t), and skips every x with delta - x^2 not a square mod
-    some m in MASK_MODULI.  Either way y is the first square root of
-    delta - x^2 in (s, t) order, found exactly from its norm.
+    some m in MASK_MODULI; for d > 0 every witness has
+    u^2 + d v^2 + s^2 + d t^2 = a, so once a < (bound + 1)^2 a miss there
+    is a proof too.  Both paths draw x from one masked walk of u <= 0 in
+    (u, v) order, and y is the first square root of delta - x^2 in (s, t)
+    order, found exactly from its norm.
     """
     _check_bound(bound)
     d = delta.d
@@ -267,13 +281,10 @@ def find_representation(delta: QuadInt, bound: int) -> SearchReport:
     if delta.b % 2:
         return SearchReport(None, 0)
     width = 2 * bound + 1
-    if d < 0 and (norm := delta.norm()) > (2 * (1 - d) * bound * bound) ** 2:
+    if d < 0 and delta.norm() > (2 * (1 - d) * bound * bound) ** 2:
         return SearchReport(None, width * width)
-    unit = _pell_unit(d) if d < -1 else None
-    if unit is not None and (lim := isqrt(unit[0] ** 2 * norm) + 1) <= bound * bound:
-        found = _orbit_witness(delta, bound, lim, *unit)
-    else:
-        found = _box_witness(delta, bound)
+    route = _unit_route(delta, bound)
+    found = _box_witness(delta, bound) if route is None else _orbit_witness(delta, bound, *route)
     if found is None:
         return SearchReport(None, width * width)
     u, v, s, t = found

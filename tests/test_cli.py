@@ -32,7 +32,8 @@ def test_decide_exit_codes(capsys):
     assert run(["decide", "--delta=1,1"]) == 1
     assert run(["decide", "--delta=-13,2"]) == 0
     assert run(["decide", "--d", "-2", "--delta", "3,0"]) == 1
-    assert run(["decide", "--d", "-6", "--delta=-1,0"]) == 0  # unknown
+    # the bound-50 search took the orbit route, so its miss is a proof
+    assert run(["decide", "--d", "-6", "--delta=-1,0"]) == 1
     # odd places past the descent's enumeration cap still get verdicts
     assert run(["decide", "--delta=1511,0"]) == 1
     assert run(["decide", "--d=-3022", "--delta=1511,1"]) == 1

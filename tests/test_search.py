@@ -240,6 +240,28 @@ def test_two_square_search_vs_brute():
             assert got == expected  # both scan from the smallest x
 
 
+def test_box_scan_stops_at_its_first_witness(monkeypatch):
+    # The masked walk is lazy: the box scan ANDs the rows of u up to its
+    # first witness's and tests no x past it.  A walk built as a list would
+    # AND every row and try every x whose norm test passes.
+    d, bound = -1, 50
+    x, y = QuadInt(-48, 5, d), QuadInt(3, -7, d)
+    delta = x * x + y * y
+    ands, roots = [], []
+    root = search._square_root
+    monkeypatch.setattr(search, "and_", lambda p, q: ands.append(1) or p & q)
+    monkeypatch.setattr(search, "_square_root", lambda *args: roots.append(args[:2]) or root(*args))
+    u, v, s, t = search._box_witness(delta, bound)
+    assert u <= -48
+    rest = delta - QuadInt(u, v, d) * QuadInt(u, v, d)
+    assert roots[-1] == (rest.a, rest.b)
+    assert len(ands) == (u + bound + 1) * (len(search.MASK_MODULI) - 1)
+    tried = len(roots)
+    roots.clear()
+    walk = list(search._witnesses(delta, bound, search.MASK_MODULI, [bound] * (bound + 1)))
+    assert walk[0] == (u, v, s, t) and len(walk) > 1 and len(roots) > tried
+
+
 ORBIT_RINGS = (-2, -5, -6, -10, -13, -14, -21, -22, -30)
 
 

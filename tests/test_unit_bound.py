@@ -4,15 +4,17 @@ oracles.unit_bound(delta).  So at that bound a miss is a proof, and the
 search is a two-sided oracle for the criterion."""
 
 import random
+from math import isqrt
 
 import pytest
 
 from oracles import full_box_scan, unit_bound
 from twosquares.criterion import DecisionStatus, decide_generic
 from twosquares.ring import QuadInt
-from twosquares.search import MAX_SEARCH_BOUND, find_representation
+from twosquares.search import MAX_SEARCH_BOUND, _unit_route, find_representation
 
 R = DecisionStatus.REPRESENTABLE
+G = DecisionStatus.GLOBAL_OBSTRUCTION
 U = DecisionStatus.UNKNOWN
 
 
@@ -86,9 +88,9 @@ def test_unmasked_scan_agrees_at_the_unit_bound():
 
 def test_unknowns_of_other_rings_are_settled_at_the_unit_bound():
     # decide_generic's bound-50 search leaves these deltas of |a|, |b| <= 15
-    # unknown; at the unit bound each is a proven global obstruction (a
-    # miss) or representable (a witness)
-    expected = {-6: (38, 0), -10: (42, 0), -13: (0, 19), -21: (57, 0), -22: (67, 4), -30: (115, 0)}
+    # unknown, where the orbit route does not fit; at the unit bound each is
+    # a proven global obstruction (a miss) or representable (a witness)
+    expected = {-6: (0, 0), -10: (0, 0), -13: (0, 19), -21: (20, 0), -22: (53, 4), -30: (0, 0)}
     settled, hits = {}, []
     for d in expected:
         misses = found = 0
@@ -106,3 +108,30 @@ def test_unknowns_of_other_rings_are_settled_at_the_unit_bound():
         settled[d] = (misses, found)
     assert settled == expected
     assert sorted(hits) == [(-4, -10), (-4, 10), (6, -8), (6, 8)]
+
+
+def test_proven_misses_of_other_rings_have_no_witness():
+    # Off d = -14, decide_generic answers global_obstruction only where its
+    # search's miss covers every witness: on the orbit route for d < -1, and
+    # for d > 0 at a bound of at least isqrt(a), as every witness has
+    # u^2 + d v^2 + s^2 + d t^2 = a.  full_box_scan, with no masks and no
+    # orbits, finds no witness at those exhaustive bounds.
+    proven = {}
+    for d in (-6, -10, -21, -22, -30):
+        for delta in _box(d, 15):
+            if decide_generic(delta, 50).status is G:
+                proven[d] = proven.get(d, 0) + 1
+                assert full_box_scan(delta, unit_bound(delta))[0] is None, delta
+    for d in (2, 3, 6, 7, 10, 11):
+        for delta in (QuadInt(a, b, d) for a in range(1, 26) for b in range(-24, 25, 2)):
+            if decide_generic(delta, 50).status is G:
+                proven[d] = proven.get(d, 0) + 1
+                assert full_box_scan(delta, isqrt(delta.a))[0] is None, delta
+    assert proven == {-6: 38, -10: 42, -21: 37, -22: 14, -30: 115, 6: 19, 10: 10, 11: 31}
+    # d = -1 has no unit, and at d = -13 (c = 649) the route needs N <= 14
+    # at bound 50: both misses stay unknown, and both deltas have witnesses
+    far = QuadInt(-10, 0, -13)
+    for delta, bound in ((QuadInt(103, 0, -1), 52), (far, unit_bound(far))):
+        assert _unit_route(delta, 50) is None
+        assert decide_generic(delta, 50).status is U, delta
+        assert full_box_scan(delta, bound)[0] is not None, delta
