@@ -61,6 +61,9 @@ _BLOCK_PRODUCTS = tuple(
     prod(compress(range(lo + 1, lo + _BLOCK, 2), _flags[lo // 2 : (lo + _BLOCK) // 2]))
     for lo in range(0, _TRIAL_BOUND, _BLOCK)
 )
+# factorize walks these (k, product) pairs: iter() of this tuple costs less
+# per call than a fresh enumerate(), which shows on the small norms a hunt factors
+_BLOCKS = tuple(enumerate(_BLOCK_PRODUCTS))
 _SMALL_PRIMES = (2, *compress(range(1, 312, 2), _flags))  # the first 64 primes
 _SMALL_PRODUCT = prod(_SMALL_PRIMES)
 del _flags
@@ -170,12 +173,13 @@ def _split_composite(n: int) -> int:
 def factorize(n: int) -> list[tuple[int, int]]:
     """Prime factorization of n >= 1 as a sorted list of (p, e) pairs.
 
-    After the 2s, trial division up to 2^16 by gcds of n with the products
-    of the odd primes of the 32 2048-wide blocks, made at import, in
-    ascending order; a block whose gcd exceeds 1 is split by trial division.
-    It stops at the first cofactor that is 1 or passes `is_prime`.  Brent
-    rho splits a composite cofactor left after the last block, and each
-    prime it finds is divided out of every cofactor still to be split.
+    After the 2s, one loop runs while the cofactor is neither 1 nor passes
+    `is_prime`.  Each pass takes a list of primes that divide it: those of
+    the next trial block whose gcd with it exceeds 1, split by trial
+    division, or, past the last block, those of the smaller part of a Brent
+    rho split, by a nested call.  Every copy of each is divided out before
+    the next pass.  The nested call gets at most the square root of its
+    caller's cofactor, so the nesting is at most log2(log2 n) deep.
     """
     if not isinstance(n, int) or n < 1:
         raise ParameterError(f"factorize expects a positive integer, got {n}")
@@ -184,49 +188,33 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if twos:
         exps[2] = twos
         n >>= twos
-    composite = n > 1 and not is_prime(n)
-    if composite:
-        for k, block in enumerate(_BLOCK_PRODUCTS):
+    blocks = iter(_BLOCKS)
+    while n > 1 and not is_prime(n):
+        for k, block in blocks:
             g = gcd(n, block)
-            if g == 1:
-                continue
-            # g is the product of the primes of this block that divide n
-            p = max(k * _BLOCK + 1, 3)
-            while g > 1:
-                if p * p > g:
-                    p = g
-                if g % p == 0:
-                    g //= p
-                    e = 0
-                    while n % p == 0:
-                        n //= p
-                        e += 1
-                    exps[p] = e
-                p += 2
-            composite = n > 1 and not is_prime(n)
-            if not composite:
+            if g > 1:
+                # g is the product of the primes of this block that divide n
+                primes = []
+                p = max(k * _BLOCK + 1, 3)
+                while g > 1:
+                    if p * p > g:
+                        p = g
+                    if g % p == 0:
+                        g //= p
+                        primes.append(p)
+                    p += 2
                 break
-    if not composite:
-        if n > 1:
-            exps[n] = 1  # a prime larger than every p divided out
-        return sorted(exps.items())
-    stack = [n]
-    while stack:
-        m = stack.pop()
-        if m == 1:
-            continue
-        if not is_prime(m):
-            f = _split_composite(m)
-            stack += sorted((f, m // f), reverse=True)  # the smaller part first
-            continue
-        # every copy of m goes now, so no later split meets it again
-        e = 1
-        for i, r in enumerate(stack):
-            while r % m == 0:
-                r //= m
+        else:
+            f = _split_composite(n)
+            primes = [p for p, _ in factorize(min(f, n // f))]
+        for p in primes:
+            e = 0
+            while n % p == 0:
+                n //= p
                 e += 1
-            stack[i] = r
-        exps[m] = e
+            exps[p] = e
+    if n > 1:
+        exps[n] = 1  # a prime larger than every p divided out
     return sorted(exps.items())
 
 

@@ -142,6 +142,39 @@ def test_rho_divides_out_each_prime_it_finds(monkeypatch):
         assert len(splits) == 1, p
 
 
+@pytest.mark.parametrize("first_part", ["composite smaller", "larger"])
+def test_rho_recurses_only_on_the_smaller_part(monkeypatch, first_part):
+    # n = p q^2 r s, all four primes past the trial bound, with rho's splits
+    # chosen: the composite smaller part p q of n and then the least prime
+    # of each cofactor m, or for every m the larger part m // (least prime).
+    # The nested call takes the smaller part, so no split runs more than one
+    # level down (only that of p q does); a call on the part rho returned, or
+    # on the other one, would nest once per prime.
+    p, q, r, s = 65537, 65539, 65543, 65551
+    n = p * q**2 * r * s
+    depth, split_depths = [-1], []
+    factorize = numth.factorize
+
+    def split(m):
+        split_depths.append(depth[0])
+        least = min(x for x in (p, q, r, s) if m % x == 0)
+        if first_part == "larger":
+            return m // least
+        return p * q if m == n else least
+
+    def nested(m):
+        depth[0] += 1
+        try:
+            return factorize(m)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(numth, "_split_composite", split)
+    monkeypatch.setattr(numth, "factorize", nested)
+    assert numth.factorize(n) == [(p, 1), (q, 2), (r, 1), (s, 1)]
+    assert max(split_depths) <= 1
+
+
 def test_rho_gives_up_past_its_budget(monkeypatch):
     # both primes are past the trial bound, and 2^6 steps cannot find either
     monkeypatch.setattr(numth, "_RHO_BUDGET", 1 << 6)

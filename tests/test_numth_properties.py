@@ -1,7 +1,8 @@
-"""Property tests of the modular square-root kernel, checked with plain
-integer arithmetic."""
+"""Property tests of the modular square-root kernel and of `factorize`,
+checked with plain integer arithmetic and primes found by trial division."""
 
-from math import isqrt
+from collections import Counter
+from math import isqrt, prod
 
 import pytest
 
@@ -35,3 +36,21 @@ def test_sqrt_kernel_lifts_the_smaller_root(n, k, x):
     assert 0 <= r < m
     assert (r * r - a) % m == 0
     assert r % p <= (p - 1) // 2
+
+
+@hypothesis.settings(SETTINGS, max_examples=100)
+@hypothesis.given(
+    st.lists(
+        st.tuples(st.one_of(st.integers(3, 1 << 16), st.integers(1 << 16, 999_999_937)), st.integers(1, 3)),
+        min_size=1,
+        max_size=5,
+    ),
+    st.integers(0, 8),
+)
+def test_factorize_returns_the_primes_a_product_was_built_from(picks, twos):
+    # primes on both sides of the trial bound 2^16, so that both the trial
+    # blocks and rho take primes out of the product
+    exps = Counter({2: twos})
+    for n, e in picks:
+        exps[next_prime(n)] += e
+    assert numth.factorize(prod(p**e for p, e in exps.items())) == sorted((+exps).items())
