@@ -10,10 +10,10 @@ from functools import lru_cache
 from math import isqrt
 from typing import NamedTuple
 
-from . import numth
+from . import numth, ring
 from .errors import ParameterError
 from .localsolve import LocalVerdict, _local_report
-from .ring import DEFAULT_D, Place, QuadInt
+from .ring import DEFAULT_D, Place, QuadInt, Splitting
 from .search import _check_bound, _miss_is_proof, find_representation, two_square_search, verify_witness
 
 DEFAULT_WITNESS_BOUND = 50
@@ -57,10 +57,11 @@ class NormFactorization(NamedTuple):
 @lru_cache(maxsize=256)
 def _d_classes(p: int) -> tuple[bool, bool, bool]:
     # whether an odd prime p = 1 (mod 4) other than 7 lies in D1, D2, D3;
-    # it comes from factorize, so each symbol is +1 or -1.  7 is a fourth
-    # power only if it is a square, so the one power here is the quartic
-    # test where (7/p) = +1.
-    r14, r7 = numth.jacobi(14, p) == 1, numth.jacobi(7, p) == 1
+    # it comes from factorize, so each symbol is +1 or -1.  (-1/p) = +1
+    # makes (14/p) = (-14/p), the split bit of p's place, which the local
+    # walk has already put in the table.  7 is a fourth power only if it is
+    # a square, so the one power here is the quartic test where (7/p) = +1.
+    r14, r7 = ring._place(p, DEFAULT_D).splitting is Splitting.SPLIT, numth.jacobi(7, p) == 1
     return r14 and not r7, not r14 and not r7, r14 and not (r7 and numth._euler_criterion(7, p))
 
 
@@ -150,11 +151,10 @@ def decide_rational(n: int) -> Decision:
         return Decision(QuadInt(n, 0), DecisionStatus.LOCAL_OBSTRUCTION, bad)
     x, y = 1, 0
     for p, e in fac:
-        if p % 4 == 3:
-            scale = p ** (e // 2)
-            x, y = x * scale, y * scale
-            continue
-        u, v = (1, 1) if p == 2 else _prime_two_squares(p)
+        if p % 4 == 3:  # prime in Z[i], to an even power: x + yi takes p^(e/2)
+            u, v, e = p, 0, e // 2
+        else:
+            u, v = (1, 1) if p == 2 else _prime_two_squares(p)
         for _ in range(e):  # (x + yi)(u + vi)
             x, y = x * u - y * v, x * v + y * u
     x, y = sorted((abs(x), abs(y)), reverse=True)

@@ -12,9 +12,9 @@ from itertools import product
 from math import gcd
 from typing import NamedTuple
 
-from . import numth
+from . import numth, ring
 from .errors import ParameterError
-from .ring import Place, QuadInt, Splitting, _split_type
+from .ring import Place, QuadInt, Splitting
 
 
 class ModularSolution(NamedTuple):
@@ -181,15 +181,9 @@ def _two_adic_verdict(delta: QuadInt, place: Place, v: int) -> LocalVerdict:
     return LocalVerdict(place, False, None, k)
 
 
-@lru_cache(maxsize=256)
-def _place(p: int, d: int) -> Place:
-    # a hunt revisits a few dozen primes hundreds of times each
-    return Place(p, _split_type(p, d))
-
-
 def _place_verdict(delta: QuadInt, p: int, vn: int) -> LocalVerdict:
     # the verdict at the place over a prime p, given vn = v_p(N(delta))
-    place = _place(p, delta.d)
+    place = ring._place(p, delta.d)
     if p == 2:  # 2 ramifies, so v_pi(delta) = v_2(N(delta))
         return _two_adic_verdict(delta, place, vn)
     return _odd_verdict(delta, place, vn)

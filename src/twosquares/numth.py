@@ -50,20 +50,19 @@ def _odd_prime_flags(limit: int) -> bytearray:
     return flags
 
 
-# Trial division runs over blocks [k*_BLOCK, (k+1)*_BLOCK) of the integers,
-# as gcds with the product of each block's odd primes; the 32 blocks cover
-# [0, _TRIAL_BOUND).  The products are made once, at import (~13 KB).  Past
-# the last block Brent rho takes over: it finds a prime p in about sqrt(p)
-# steps, no dearer than a block walk to 10^6, and needs no table.
+# Trial division runs over blocks [lo, lo + _BLOCK) of the integers, as
+# gcds with the product of each block's odd primes; the 32 blocks cover
+# [0, _TRIAL_BOUND).  _BLOCKS holds one (first, product) pair per block,
+# first its least odd candidate above 1, where factorize starts dividing
+# when the gcd exceeds 1.  The pairs are made once, at import (~13 KB).
+# Past the last block Brent rho takes over: it finds a prime p in about
+# sqrt(p) steps, no dearer than a block walk to 10^6, and needs no table.
 _BLOCK = 2048
 _flags = _odd_prime_flags(_TRIAL_BOUND)
-_BLOCK_PRODUCTS = tuple(
-    prod(compress(range(lo + 1, lo + _BLOCK, 2), _flags[lo // 2 : (lo + _BLOCK) // 2]))
+_BLOCKS = tuple(
+    (max(lo + 1, 3), prod(compress(range(lo + 1, lo + _BLOCK, 2), _flags[lo // 2 : (lo + _BLOCK) // 2])))
     for lo in range(0, _TRIAL_BOUND, _BLOCK)
 )
-# factorize walks these (k, product) pairs: iter() of this tuple costs less
-# per call than a fresh enumerate(), which shows on the small norms a hunt factors
-_BLOCKS = tuple(enumerate(_BLOCK_PRODUCTS))
 _SMALL_PRIMES = (2, *compress(range(1, 312, 2), _flags))  # the first 64 primes
 _SMALL_PRODUCT = prod(_SMALL_PRIMES)
 del _flags
@@ -190,12 +189,11 @@ def factorize(n: int) -> list[tuple[int, int]]:
         n >>= twos
     blocks = iter(_BLOCKS)
     while n > 1 and not is_prime(n):
-        for k, block in blocks:
+        for p, block in blocks:
             g = gcd(n, block)
             if g > 1:
                 # g is the product of the primes of this block that divide n
                 primes = []
-                p = max(k * _BLOCK + 1, 3)
                 while g > 1:
                     if p * p > g:
                         p = g

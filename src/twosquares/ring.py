@@ -119,14 +119,6 @@ class Splitting(enum.Enum):
     RAMIFIED = "ramified"
 
 
-def _split_type(p: int, d: int) -> Splitting:
-    # how the prime p behaves in Z[sqrt(d)], for a p the caller holds as
-    # prime and the d of a QuadInt, so already valid
-    if (2 * d) % p == 0:
-        return Splitting.RAMIFIED
-    return Splitting.SPLIT if numth.jacobi(d, p) == 1 else Splitting.INERT
-
-
 class Place(NamedTuple):
     """A place of Q(sqrt(d)): finite over a rational prime, or archimedean
     (prime is None).  For rational-integer decisions splitting is None."""
@@ -136,3 +128,13 @@ class Place(NamedTuple):
 
     def label(self) -> str:
         return "oo" if self.prime is None else str(self.prime)
+
+
+@lru_cache(maxsize=256)
+def _place(p: int, d: int) -> Place:
+    # the place over p and how p behaves in Z[sqrt(d)], for a p the caller
+    # holds as prime and the d of a QuadInt, so already valid; cached, as a
+    # hunt revisits a few dozen primes hundreds of times each
+    if (2 * d) % p == 0:
+        return Place(p, Splitting.RAMIFIED)
+    return Place(p, Splitting.SPLIT if numth.jacobi(d, p) == 1 else Splitting.INERT)

@@ -216,27 +216,23 @@ def _orbit_witness(delta: QuadInt, bound: int, lim: int, c: int, e: int) -> tupl
     # built cold for each new delta, would cost more than the few x they
     # turn away; (16, 9, 5) keeps the cheap ones.
     spans = [isqrt((lim - u * u) // -d) for u in range(-isqrt(lim), 1)]
-    walk = _witnesses(delta, bound, MASK_MODULI[:3], spans)
-    reps = [(u, v, s, t) for u, v, s, t in walk if u * u - d * v * v + s * s - d * t * t <= lim]
     # Q is convex along an orbit and every representative has
     # Q <= lim <= bound**2, so past the first step above the largest Q of
     # the box, a direction leaves the box for good.
     largest = 2 * (1 - d) * bound * bound
     found = []
-    for rep in reps:
-        points = [rep]
-        for f in (e, -e):
+    for rep in _witnesses(delta, bound, MASK_MODULI[:3], spans):
+        u, v, s, t = rep
+        if u * u - d * v * v + s * s - d * t * t > lim:
+            continue
+        for f in (e, -e):  # each direction starts at the representative
             u, v, s, t = rep
-            while True:
+            while u * u - d * v * v + s * s - d * t * t <= largest:
+                if max(abs(u), abs(v), abs(s), abs(t)) <= bound:
+                    # the least of the 8 images (+-x, +-y) and (+-y, +-x)
+                    x, y = min((u, v), (-u, -v)), min((s, t), (-s, -t))
+                    found.append(min(x + y, y + x))
                 u, v, s, t = c * u + f * d * t, c * v + f * s, c * s - f * d * v, c * t - f * u
-                if u * u - d * v * v + s * s - d * t * t > largest:
-                    break
-                points.append((u, v, s, t))
-        for u, v, s, t in points:
-            if max(abs(u), abs(v), abs(s), abs(t)) <= bound:
-                # the least of the 8 images (+-x, +-y) and (+-y, +-x)
-                x, y = min((u, v), (-u, -v)), min((s, t), (-s, -t))
-                found.append(min(x + y, y + x))
     return min(found, default=None)
 
 

@@ -188,6 +188,26 @@ def full_box_scan(delta: QuadInt, bound: int) -> tuple[tuple[QuadInt, QuadInt] |
     return None, tried
 
 
+def pell_unit(d: int) -> tuple[int, int]:
+    """The least c > 1 with c^2 - |d| e^2 = 1, as (c, e), for squarefree
+    d < -1: the first convergent c/e of the continued fraction of sqrt|d|
+    that solves it (Cohen, GTM 138, 5.7).  The partial quotients come from
+    the exact recurrence m' = a*q - m, q' = (|d| - m'^2)/q,
+    a' = (isqrt|d| + m') // q'."""
+    n = -d
+    if n < 2:
+        raise ValueError(f"pell_unit needs d < -1, got {d}")
+    a0 = isqrt(n)
+    m, q, a = 0, 1, a0
+    c, c_prev, e, e_prev = a0, 1, 1, 0
+    while c * c - n * e * e != 1:
+        m = a * q - m
+        q = (n - m * m) // q
+        a = (a0 + m) // q
+        c, c_prev, e, e_prev = a * c + c_prev, c, a * e + e_prev, e
+    return c, e
+
+
 def unit_bound(delta: QuadInt) -> int:
     """A coordinate bound that some witness meets whenever delta is a sum of
     two squares, for d < -1.  The least c > 1 with c^2 - |d| e^2 = 1 gives
@@ -195,14 +215,8 @@ def unit_bound(delta: QuadInt) -> int:
     some eps^k moves any witness to one with x1^2 + |d| x2^2 + y1^2 +
     |d| y2^2 <= c * sqrt(N(delta)), so every coordinate of it is below
     isqrt(c * (isqrt(N) + 1)) + 1."""
-    a, b, d = delta.a, delta.b, delta.d
-    if d >= -1:
-        raise ValueError(f"unit_bound needs d < -1, got {d}")
-    e = 1
-    while isqrt(-d * e * e + 1) ** 2 != -d * e * e + 1:
-        e += 1
-    c = isqrt(-d * e * e + 1)
-    return isqrt(c * (isqrt(a * a - d * b * b) + 1)) + 1
+    c, _ = pell_unit(delta.d)
+    return isqrt(c * (isqrt(delta.a**2 - delta.d * delta.b**2) + 1)) + 1
 
 
 def _valuation(n: int, p: int) -> int:

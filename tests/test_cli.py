@@ -38,6 +38,13 @@ def test_decide_exit_codes(capsys):
     assert run(["decide", "--delta=1511,0"]) == 1
     assert run(["decide", "--d=-3022", "--delta=1511,1"]) == 1
     capsys.readouterr()
+    # a miss that proves nothing is unknown, and exits 0: d = -13's route
+    # needs lim = isqrt(649^2 * 100) + 1 <= bound^2, and d = -1 has no unit
+    assert run(["decide", "--d", "-13", "--delta=-10,0", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert '"status":"unknown"' in out and '"witness":null' in out
+    assert run(["decide", "--d", "-1", "--delta=3,0", "--bound", "1"]) == 0
+    capsys.readouterr()
 
 
 def test_decide_a_zero_is_a_local_obstruction(capsys):

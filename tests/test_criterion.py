@@ -7,7 +7,7 @@ import random
 import pytest
 
 from oracles import brute_legendre, brute_two_squares, is_representation
-from twosquares import criterion, numth
+from twosquares import criterion, numth, ring
 from twosquares.criterion import (
     DecisionStatus,
     NormFactorization,
@@ -179,6 +179,23 @@ def test_decide_factors_norm_once(monkeypatch):
             calls.clear()
             decide(delta)
             assert calls == [abs(delta.norm())], delta
+
+
+def test_fourteen_is_read_once_per_prime(monkeypatch):
+    # the D-classes read (14/p) off the split bit of the place table, which
+    # the local walk fills, so a decide asks for (+-14/p) once per prime
+    # p = 1 (mod 4) of the norm.  Both caches are emptied first, and each
+    # of these primes has a nonresidue below 14, so the sqrt(-1) kernel's
+    # search for one asks no such symbol.
+    calls = []
+    jacobi = numth.jacobi
+    monkeypatch.setattr(numth, "jacobi", lambda a, n: calls.append((a, n)) or jacobi(a, n))
+    for delta, primes in ((QuadInt(17, 17), [5, 17]), (QuadInt(13, 1), [61]), (QuadInt(3, 2), [5, 13])):
+        ring._place.cache_clear()
+        criterion._d_classes.cache_clear()
+        calls.clear()
+        decide_qsqrt_m14(delta)
+        assert sorted(n for a, n in calls if a in (14, -14) and n % 4 == 1) == primes, delta
 
 
 def test_norm_factorization_fixed():

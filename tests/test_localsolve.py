@@ -26,7 +26,7 @@ from twosquares.localsolve import (
     locally_solvable,
     locally_solvable_everywhere,
 )
-from twosquares.ring import Place, QuadInt, Splitting, _split_type
+from twosquares.ring import Place, QuadInt, Splitting, _place
 
 TEST_PRIMES = (2, 3, 5, 7, 13)
 
@@ -167,7 +167,7 @@ def test_odd_place_closed_form_agrees_with_descent():
                     cert = verdict.certificate
                     _check_congruences(delta, cert, p)
                     sol = (*cert.x, *cert.y)
-                    assert _is_smooth(sol, cert.level, p, d, _split_type(p, d)), (a, b, d, p)
+                    assert _is_smooth(sol, cert.level, p, d, _place(p, d).splitting), (a, b, d, p)
 
 
 def test_split_valuations_come_from_the_coordinate_gcd():
@@ -293,7 +293,7 @@ def test_everywhere_does_not_reprove_primes(monkeypatch):
     calls = []
     is_prime = numth.is_prime
     monkeypatch.setattr(numth, "is_prime", lambda n: calls.append(n) or is_prime(n))
-    localsolve._place.cache_clear()  # so every place is classified again
+    _place.cache_clear()  # so every place is classified again
     for (delta, factors), want in zip(cases, expected):
         verdicts = _local_report(delta, factors)
         assert list(verdicts[1:]) == want, delta

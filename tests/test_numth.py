@@ -93,7 +93,7 @@ def test_factorize_trial_division_edges():
 def test_factorize_across_the_trial_bound_and_10_6():
     # primes on each side of the trial bound 2^16 and of 10^6, in products
     # that trial division, rho, or both must split
-    assert len(numth._BLOCK_PRODUCTS) == 32 and numth._TRIAL_BOUND == 1 << 16
+    assert len(numth._BLOCKS) == 32 and numth._TRIAL_BOUND == 1 << 16
     primes = (65521, 65537, 999983, 1000003)
     big = 10**12 + 39
     assert all(numth.is_prime(p) for p in (*primes, big))
@@ -341,8 +341,9 @@ def test_sqrt_of_minus_one_takes_one_power(powers):
 
 
 def test_quadratic_characters_take_no_power(powers):
-    # _split_type, _partition and a1_symbol read each character by
-    # reciprocity; they agree with Euler's criterion, computed here
+    # _place, _partition (which reads (14/p) off _place) and a1_symbol read
+    # each character by reciprocity; they agree with Euler's criterion,
+    # computed here
     def euler(a, p):
         return 1 if pow(a, (p - 1) // 2, p) == 1 else -1
 
@@ -351,7 +352,7 @@ def test_quadratic_characters_take_no_power(powers):
     for p in primes:
         for d in (-14, -5, 2, 3):
             expected = ring.Splitting.SPLIT if euler(d, p) == 1 else ring.Splitting.INERT
-            assert ring._split_type(p, d) is expected, (p, d)
+            assert ring._place(p, d).splitting is expected, (p, d)
     assert powers == []
     # 7 is a fourth power only where it is a square: _partition's one power
     # is that quartic test, where 14 and 7 are both squares; its per-prime
@@ -400,23 +401,25 @@ def test_strong_lucas_pseudoprimes_below_2e5():
 
 
 def test_block_products_are_the_odd_primes_of_each_block():
-    # block k covers [2048k, 2048(k+1)); its entry is the product of the odd
-    # primes there, read off the oracle's factorization of each odd number
-    blocks = numth._BLOCK_PRODUCTS
+    # block k covers [2048k, 2048(k+1)); its entry pairs the first odd
+    # candidate there above 1 with the product of the odd primes there, read
+    # off the oracle's factorization of each odd number
+    blocks = numth._BLOCKS
     assert isinstance(blocks, tuple) and len(blocks) == 32
-    expected = [1] * len(blocks)
+    expected = [[max(2048 * k + 1, 3), 1] for k in range(len(blocks))]
     for n in range(3, len(blocks) * 2048, 2):
         if brute_factorize(n) == [(n, 1)]:
-            expected[n // 2048] *= n
-    assert list(blocks) == expected
+            expected[n // 2048][1] *= n
+    assert [list(block) for block in blocks] == expected
 
 
 def test_factorize_stops_at_prime_cofactor(monkeypatch):
     # only the trial-division blocks count: is_prime's screen takes a gcd too
     taken = []
+    products = {product for _, product in numth._BLOCKS}
 
     def counting(a, b):
-        if b in numth._BLOCK_PRODUCTS:
+        if b in products:
             taken.append(b)
         return gcd(a, b)
 

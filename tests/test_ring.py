@@ -95,20 +95,20 @@ def test_parse_rejects_garbage():
 
 
 def test_split_type_fixed_table():
-    assert ring._split_type(2, DEFAULT_D) is Splitting.RAMIFIED
-    assert ring._split_type(7, DEFAULT_D) is Splitting.RAMIFIED
+    assert ring._place(2, DEFAULT_D).splitting is Splitting.RAMIFIED
+    assert ring._place(7, DEFAULT_D).splitting is Splitting.RAMIFIED
     for p in (3, 5, 13, 19, 23):
-        assert ring._split_type(p, DEFAULT_D) is Splitting.SPLIT
+        assert ring._place(p, DEFAULT_D).splitting is Splitting.SPLIT
     for p in (11, 17):
-        assert ring._split_type(p, DEFAULT_D) is Splitting.INERT
-    assert ring._split_type(3, -2) is Splitting.SPLIT
+        assert ring._place(p, DEFAULT_D).splitting is Splitting.INERT
+    assert ring._place(3, -2).splitting is Splitting.SPLIT
 
 
 def test_split_type_vs_legendre():
     primes = [p for p in range(2, 100) if all(p % q for q in range(2, p))]
     for d in SQUAREFREE_DS:
         for p in primes:
-            st = ring._split_type(p, d)
+            st = ring._place(p, d).splitting
             if (2 * d) % p == 0:
                 assert st is Splitting.RAMIFIED
             else:
@@ -119,8 +119,8 @@ def test_split_type_vs_legendre():
 def test_place_labels():
     assert Place(None).label() == "oo"
     assert Place(None).prime is None
-    assert Place(7, ring._split_type(7, DEFAULT_D)).label() == "7"
-    assert Place(7, ring._split_type(7, DEFAULT_D)).splitting is Splitting.RAMIFIED
+    assert ring._place(7, DEFAULT_D).label() == "7"
+    assert ring._place(7, DEFAULT_D) == Place(7, Splitting.RAMIFIED)
 
 
 def test_partition_matches_symbol_definitions():

@@ -9,10 +9,12 @@ from math import isqrt
 import pytest
 
 from oracles import (
+    brute_factorize,
     brute_two_squares,
     full_box_scan,
     is_representation,
     mask_rows,
+    pell_unit,
     sums_of_two_squares_mod,
 )
 from twosquares import localsolve, numth, search
@@ -379,6 +381,15 @@ def test_unit_search_is_capped(monkeypatch):
         assert search._pell_unit(d) == unit
         assert len(steps) <= cap // isqrt(-d) + 1, d
     monkeypatch.undo()
+    # every unit the loop finds is the continued-fraction oracle's, and it
+    # gives up exactly where that unit is past the cap
+    ds = [d for d in range(-3000, -1) if d % 4 in (2, 3) and all(e == 1 for _, e in brute_factorize(-d))]
+    capped = 0
+    for d in ds:
+        unit = pell_unit(d)
+        capped += unit[0] > cap
+        assert search._pell_unit(d) == (None if unit[0] > cap else unit), d
+    assert (len(ds), capped) == (1214, 870)
     r = find_representation(QuadInt(1, 0, -661), 50)
     assert r.witness == (QuadInt(-1, 0, -661), QuadInt(0, 0, -661)) and r.states_examined == 5000
     r = find_representation(QuadInt(5, 0, -94), 50)
