@@ -68,8 +68,17 @@ def _d_classes(p: int) -> tuple[bool, bool, bool]:
 def _partition(factors: tuple[tuple[int, int], ...]) -> tuple[tuple[int, ...], ...]:
     # every class needs (-1/p) = +1, that is p = 1 (mod 4), which leaves out
     # 2 and 7; a hunt meets the same few dozen primes again and again
-    members = [(p, _d_classes(p)) for p, _ in factors if p % 4 == 1]
-    return tuple(tuple(p for p, classes in members if classes[k]) for k in range(3))
+    d1, d2, d3 = [], [], []
+    for p, _ in factors:
+        if p % 4 == 1:
+            in1, in2, in3 = _d_classes(p)
+            if in1:
+                d1.append(p)
+            if in2:
+                d2.append(p)
+            if in3:
+                d3.append(p)
+    return tuple(d1), tuple(d2), tuple(d3)
 
 
 def _norm_factorization(delta: QuadInt, factors: tuple[tuple[int, int], ...]) -> NormFactorization:
@@ -85,6 +94,18 @@ def _norm_factorization(delta: QuadInt, factors: tuple[tuple[int, int], ...]) ->
     return NormFactorization(factors, s3, a1, d1, d2, d3)
 
 
+def _symbol_condition(nf: NormFactorization) -> bool:
+    # condition 2 of the criterion: D1 nonempty, or (a1|7) = (-1)^eps
+    return bool(nf.d1) or nf.a1_symbol == (-1) ** nf.parity_exponent
+
+
+def _branch(nf: NormFactorization | None) -> str | None:
+    # which half of the symbol condition decides; none without symbol data
+    if nf is None:
+        return None
+    return "d1_nonempty" if nf.d1 else "parity"
+
+
 class Decision(NamedTuple):
     """The one record of an answer for delta: the fields are what the
     verdict was computed from; what derives from them is a property."""
@@ -97,9 +118,7 @@ class Decision(NamedTuple):
 
     @property
     def branch(self) -> str | None:
-        if self.factorization is None:
-            return None
-        return "d1_nonempty" if self.factorization.d1 else "parity"
+        return _branch(self.factorization)
 
     @property
     def witness_verified(self) -> bool:
@@ -186,8 +205,7 @@ def decide_generic(delta: QuadInt, search_bound: int | None = DEFAULT_WITNESS_BO
     nf = _norm_factorization(delta, factors) if delta.d == DEFAULT_D and delta.a else None
     if not all(v.solvable for v in report):
         return Decision(delta, DecisionStatus.LOCAL_OBSTRUCTION, report, nf)
-    # condition 2, the symbol condition: D1 nonempty, or (a1|7) = (-1)^eps
-    if nf is not None and not nf.d1 and nf.a1_symbol != (-1) ** nf.parity_exponent:
+    if nf is not None and not _symbol_condition(nf):  # condition 2
         return Decision(delta, DecisionStatus.GLOBAL_OBSTRUCTION, report, nf)
     witness = None if search_bound is None else find_representation(delta, search_bound).witness
     if nf is not None or witness is not None:

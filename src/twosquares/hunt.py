@@ -1,14 +1,18 @@
 """Counterexample hunter: sweep a coordinate box, run the criterion, the
 local solver, the residue sieve and the bounded oracle against each other,
-and emit JSON-ready records.  Output is deterministic for any worker count."""
+and emit JSON-ready records.  Each record is read off one factorization of
+N(delta), the places that fail and the symbol data; only a hit gets a full
+Decision.  Output is deterministic for any worker count."""
 
 from __future__ import annotations
 
 import os
 from typing import NamedTuple
 
-from .criterion import Decision, DecisionStatus, decide_qsqrt_m14
+from . import numth
+from .criterion import Decision, DecisionStatus, _branch, _norm_factorization, _symbol_condition, decide_qsqrt_m14
 from .errors import ParameterError
+from .localsolve import _local_failures
 from .ring import QuadInt
 from .search import _check_bound, find_representation, residue_obstruction, verify_witness, witness_jsonable
 
@@ -34,10 +38,20 @@ def _examine(a: int, b: int, bound: int) -> tuple[dict, Decision | None]:
     witness, states = None, 0
     if sieved_mod is None:
         witness, states = find_representation(delta, bound)
-    decision = decide_qsqrt_m14(delta, witness_bound=None)
-    status = decision.status
-    local_ok = status is not DecisionStatus.LOCAL_OBSTRUCTION
-    negative = status in (DecisionStatus.LOCAL_OBSTRUCTION, DecisionStatus.GLOBAL_OBSTRUCTION)
+    # the criterion's verdict from one factorization, the places that fail
+    # and the symbol data: the local walk refutes every a = 0 delta at the
+    # place over 7, so those have no symbol data
+    factors = tuple(numth.factorize(abs(delta.norm())))
+    failures = _local_failures(delta, factors)
+    nf = _norm_factorization(delta, factors) if a else None
+    local_ok = not failures
+    if not local_ok:
+        status = DecisionStatus.LOCAL_OBSTRUCTION
+    elif nf is not None and not _symbol_condition(nf):
+        status = DecisionStatus.GLOBAL_OBSTRUCTION
+    else:
+        status = DecisionStatus.REPRESENTABLE
+    negative = status is not DecisionStatus.REPRESENTABLE
     hit = status is DecisionStatus.GLOBAL_OBSTRUCTION and witness is None
     record = {
         "a": a,
@@ -46,17 +60,22 @@ def _examine(a: int, b: int, bound: int) -> tuple[dict, Decision | None]:
         "witness_verified": verify_witness(delta, witness),
         "search_states": states,
         "sieved_mod": sieved_mod,
-        # the criterion refutes every a = 0 delta at the place over 7; those
-        # records keep their own kind and a null status
+        # a = 0 records keep their own kind and a null status
         "kind": "a_zero" if a == 0 else "criterion",
         "status": None if a == 0 else status.value,
-        "branch": decision.branch,
-        "failing_places": [p.label() for p in decision.failing_places],
+        "branch": _branch(nf),
+        "failing_places": [v.place.label() for v in failures],
         "hit": hit,
         "local_ok": local_ok,
         "discrepancy": (witness is not None and negative) or (sieved_mod is not None and local_ok),
     }
-    return record, decision if hit else None
+    if not hit:
+        return record, None
+    # only a hit carries the full Decision, with every place's evidence
+    decision = decide_qsqrt_m14(delta, witness_bound=None)
+    if decision.status is not DecisionStatus.GLOBAL_OBSTRUCTION:
+        raise RuntimeError(f"hunt and criterion disagree on {delta}; invariant violated")
+    return record, decision
 
 
 def _hunt_row(args: tuple[int, int, int]) -> list[tuple[dict, Decision | None]]:

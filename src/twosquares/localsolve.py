@@ -60,28 +60,38 @@ def _unit_two_squares(c: int, p: int, k: int) -> tuple[int, int]:
     raise RuntimeError(f"no unit solution of x^2 + y^2 = {c} mod {p}; invariant violated")
 
 
-def _odd_verdict(delta: QuadInt, place: Place, vn: int) -> LocalVerdict:
+def _split_valuations(delta: QuadInt, p: int, vn: int) -> tuple[int, int]:
+    # At a split p, Z_p[sqrt(d)] = Z_p x Z_p, and delta / p^g with
+    # g = v_p(gcd(a, b)) lies in at most one of the two places (in both, p
+    # would divide it), so the two valuations are g and vn - g.
+    g = numth.valuation(gcd(delta.a, delta.b), p)
+    return g, vn - g
+
+
+def _odd_failure(delta: QuadInt, place: Place, vn: int) -> LocalVerdict | None:
     # Closed form at odd p (O'Meara, Introduction to Quadratic Forms, 63;
     # Serre, A Course in Arithmetic, III): x^2 + y^2 = delta fails only at a
     # place with residue field F_p, p = 3 mod 4 and odd valuation.  Anywhere
     # else -1 is a residue-field square and the form is XY.  vn = v_p(N(delta))
-    # gives the w-normalized valuations of delta at the places over p.  At a
-    # split p, Z_p[sqrt(d)] = Z_p x Z_p, and delta / p^g with g = v_p(gcd(a, b))
-    # lies in at most one of the two places (in both, p would divide it), so
-    # the two valuations are g and vn - g.
+    # gives the w-normalized valuations of delta at the places over p.  The
+    # failing verdict, or None where delta is solvable.
+    p, splitting = place.prime, place.splitting
+    if p % 4 == 1 or splitting is Splitting.INERT:
+        return None
+    if splitting is Splitting.RAMIFIED:
+        return LocalVerdict(place, False, None, (vn + 1) // 2) if vn % 2 else None
+    odd = [v for v in _split_valuations(delta, p, vn) if v % 2]
+    return LocalVerdict(place, False, None, min(odd) + 1) if odd else None
+
+
+def _odd_verdict(delta: QuadInt, place: Place, vn: int) -> LocalVerdict:
+    failure = _odd_failure(delta, place, vn)
+    if failure is not None:
+        return failure
     a, b, d = delta.a, delta.b, delta.d
     p, splitting = place.prime, place.splitting
-    if splitting is Splitting.SPLIT:
-        g = numth.valuation(gcd(a, b), p)
-        vals = [g, vn - g]
-    else:
-        vals = [vn if splitting is Splitting.RAMIFIED else vn // 2]
-    depth = 2 * ((max(vals) + 1) // 2) + 1  # a split place's certificate level
-    if p % 4 == 3 and splitting is not Splitting.INERT:
-        odd = [v for v in vals if v % 2]
-        if odd:
-            e = 2 if splitting is Splitting.RAMIFIED else 1
-            return LocalVerdict(place, False, None, (min(odd) + 1) // e)
+    if splitting is Splitting.SPLIT:  # a split place's certificate level
+        depth = 2 * ((max(_split_valuations(delta, p, vn)) + 1) // 2) + 1
     if p % 4 == 1 or splitting is Splitting.INERT:
         # x = (delta + 1)/2, y = (1 - delta)*i/2 with i^2 = -1
         level = depth if splitting is Splitting.SPLIT else 1
@@ -111,7 +121,7 @@ def _odd_verdict(delta: QuadInt, place: Place, vn: int) -> LocalVerdict:
     else:
         # ramified, v = 2k: delta = s^2 * t with s = p^(k//2), times sqrt(d)
         # when k is odd, and t a unit; solve t mod p, then scale by s
-        k = vals[0] // 2
+        k = vn // 2
         level = k + 1
         m = p**level
         g = pow(d // p, -1, p) if k % 2 else 1
@@ -145,16 +155,18 @@ def _primitive_sums_mod(d: int, j: int) -> dict[tuple[int, int], tuple[tuple[int
     return sums
 
 
-def _two_adic_verdict(delta: QuadInt, place: Place, v: int) -> LocalVerdict:
+def _two_adic_descent(delta: QuadInt, v: int) -> tuple[int, tuple[int, int] | None]:
     # 2 ramifies with uniformizer pi and pi^2 = 2w, w a unit: pi = sqrt(d),
     # w = d/2 when d = 2 mod 4; pi = 1 + sqrt(d), w = (1 + d)/2 + sqrt(d)
     # when d = 3 mod 4.  v = v_pi(delta) = v_2(N(delta)).  A solution with
     # min(v_pi(x), v_pi(y)) = m makes eps_m = delta / pi^(2m) a primitive
     # sum x0^2 + y0^2, and such a sum mod 8 with x0 a unit lifts (Hensel:
     # 2 * v_pi(2 x0) = 4 < 6 = v_pi(8)).  So delta is a sum of two squares
-    # over Z_2[sqrt(d)] iff some m <= v/2 has eps_m mod 8 in P_3.
+    # over Z_2[sqrt(d)] iff some m <= v/2 has eps_m mod 8 in P_3.  Returns
+    # the least such m with eps_m mod 8, or the first level with no classes
+    # and None.
     a, b, d = delta.a, delta.b, delta.d
-    pi, w = ((0, 1), (d // 2, 0)) if d % 4 == 2 else ((1, 1), ((1 + d) // 2, 1))
+    w = (d // 2, 0) if d % 4 == 2 else ((1 + d) // 2, 1)
     inv = pow(w[0] * w[0] - d * w[1] * w[1], -1, 8)
     w_inv = (w[0] * inv % 8, -w[1] * inv % 8)
     half = v // 2
@@ -164,11 +176,7 @@ def _two_adic_verdict(delta: QuadInt, place: Place, v: int) -> LocalVerdict:
         # pi^(2m) = 2^m w^m divides delta, so 2^m divides both coordinates
         prev, e = e, _mul_mod((a >> m, b >> m), w_m, d, 8)
         if e in p3:
-            level = m + 3
-            x, y = p3[e]
-            for _ in range(m):
-                x, y = _mul_mod(x, pi, d, 2**level), _mul_mod(y, pi, d, 2**level)
-            return LocalVerdict(place, True, ModularSolution(x, y, level, True), level)
+            return m, e
         w_m = _mul_mod(w_m, w_inv, d, 8)
     # Classes mod 2^k exist while 2k <= v (x = y = 0).  Past that, a class
     # with min valuation m <= half reduces eps_m to a primitive sum mod
@@ -177,8 +185,20 @@ def _two_adic_verdict(delta: QuadInt, place: Place, v: int) -> LocalVerdict:
     # coordinate is in P_3, so eps_half is a unit with an odd one, or pi
     # times a unit, which has an odd one too, while every primitive sum
     # mod 2 or 4 has an even one.  That leaves eps_(half-1) mod 4 (prev).
-    k = half + 1 + (prev is not None and (prev[0] % 4, prev[1] % 4) in _primitive_sums_mod(d, 2))
-    return LocalVerdict(place, False, None, k)
+    return half + 1 + (prev is not None and (prev[0] % 4, prev[1] % 4) in _primitive_sums_mod(d, 2)), None
+
+
+def _two_adic_verdict(delta: QuadInt, place: Place, v: int) -> LocalVerdict:
+    # the certificate is x0, y0 of eps_m's first pair, times pi^m
+    m, e = _two_adic_descent(delta, v)
+    if e is None:
+        return LocalVerdict(place, False, None, m)
+    d, level = delta.d, m + 3
+    pi = (0, 1) if d % 4 == 2 else (1, 1)
+    x, y = _primitive_sums_mod(d, 3)[e]
+    for _ in range(m):
+        x, y = _mul_mod(x, pi, d, 2**level), _mul_mod(y, pi, d, 2**level)
+    return LocalVerdict(place, True, ModularSolution(x, y, level, True), level)
 
 
 def _place_verdict(delta: QuadInt, p: int, vn: int) -> LocalVerdict:
@@ -213,6 +233,27 @@ def _local_report(delta: QuadInt, factors: Iterable[tuple[int, int]]) -> tuple[L
     # N(delta), so the walk always visits it.
     walk = {2: 0} | dict(factors)
     return (_archimedean_verdict(delta), *(_place_verdict(delta, p, e) for p, e in walk.items()))
+
+
+def _local_failures(delta: QuadInt, factors: Iterable[tuple[int, int]]) -> tuple[LocalVerdict, ...]:
+    # exactly the failing verdicts of _local_report(delta, factors), in its
+    # order, with no certificate built at a place that is solvable; the
+    # place over oo of d < 0 is complex, so it never fails
+    failures = []
+    if delta.d > 0:
+        real = _archimedean_verdict(delta)
+        if not real.solvable:
+            failures.append(real)
+    for p, vn in ({2: 0} | dict(factors)).items():
+        place = ring._place(p, delta.d)
+        if p != 2:
+            failure = _odd_failure(delta, place, vn)
+        else:
+            k, e = _two_adic_descent(delta, vn)
+            failure = LocalVerdict(place, False, None, k) if e is None else None
+        if failure is not None:
+            failures.append(failure)
+    return tuple(failures)
 
 
 def locally_solvable_everywhere(delta: QuadInt) -> tuple[bool, list[LocalVerdict]]:

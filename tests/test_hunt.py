@@ -5,7 +5,7 @@ import pickle
 
 import pytest
 
-from twosquares import criterion, hunt
+from twosquares import criterion, hunt, localsolve
 from twosquares.cli import canonical_json
 from twosquares.criterion import DecisionStatus, decide_qsqrt_m14
 from twosquares.errors import ParameterError
@@ -184,11 +184,53 @@ def test_sieve_against_local_solver_sets_discrepancy(monkeypatch):
     # force the sieve to refute everything, and the local solver to accept
     # every a = 0 delta: each record the local side accepts must be flagged
     monkeypatch.setattr(hunt, "residue_obstruction", lambda delta: 7)
-    report = criterion._local_report
-    monkeypatch.setattr(criterion, "_local_report", lambda delta, factors: report(delta, factors) if delta.a else ())
+    failures = hunt._local_failures
+    monkeypatch.setattr(hunt, "_local_failures", lambda delta, factors: failures(delta, factors) if delta.a else ())
     res = hunt_counterexamples(2, 10)
     assert all(r["sieved_mod"] == 7 and r["search_states"] == 0 for r in res.records)
     flagged = [r for r in res.records if r["local_ok"]]
     assert {r["kind"] for r in flagged} == {"a_zero", "criterion"}
     assert list(res.discrepancies) == flagged
     assert res.summary["discrepancies"] == len(flagged)
+
+
+def test_records_match_the_full_decisions(acceptance_sweep):
+    # a record is built from the factor list, the failing places and the
+    # symbol data; the full Decision of its delta must read the same
+    result, _ = acceptance_sweep
+    assert len(result.records) == 2600
+    for r in result.records:
+        decision = decide_qsqrt_m14(QuadInt(r["a"], r["b"]), None)
+        status = decision.status
+        assert r["status"] == (None if r["a"] == 0 else status.value), r
+        assert r["branch"] == decision.branch, r
+        assert r["failing_places"] == [p.label() for p in decision.failing_places], r
+        assert r["local_ok"] == (status is not DecisionStatus.LOCAL_OBSTRUCTION), r
+
+
+def test_only_hits_get_a_full_local_report(monkeypatch):
+    # the hunt walks the failing places of every delta, and builds the full
+    # per-place report, certificates and all, for its hits alone
+    reports, certificates = [], []
+    report, solution = localsolve._local_report, localsolve.ModularSolution
+
+    def counted_report(delta, factors):
+        reports.append(delta)
+        return report(delta, factors)
+
+    monkeypatch.setattr(criterion, "_local_report", counted_report)
+    monkeypatch.setattr(localsolve, "_local_report", counted_report)
+    monkeypatch.setattr(localsolve, "ModularSolution", lambda *args: certificates.append(args) or solution(*args))
+    result = hunt_counterexamples(12, 100)
+    assert len(reports) == result.summary["hits"] == 39
+    assert reports == [hit.delta for hit in result.hits]
+    held = [v.certificate for hit in result.hits for v in hit.local_report if v.certificate is not None]
+    assert len(certificates) == len(held)
+
+
+def test_a_hit_the_criterion_does_not_confirm_raises(monkeypatch):
+    # a hit's full Decision must agree with the record; the check is a
+    # raise, so it holds under python -O as well
+    monkeypatch.setattr(hunt, "decide_qsqrt_m14", lambda delta, witness_bound: decide_qsqrt_m14(-delta, None))
+    with pytest.raises(RuntimeError, match="invariant violated"):
+        hunt_counterexamples(1, 10)

@@ -21,6 +21,7 @@ from twosquares.errors import ParameterError, ResourceLimitError
 from twosquares.localsolve import (
     ModularSolution,
     _archimedean_verdict,
+    _local_failures,
     _local_report,
     _primitive_sums_mod,
     locally_solvable,
@@ -63,6 +64,23 @@ def test_walk_adds_2_to_an_odd_norm():
     assert (all(v.solvable for v in verdicts), list(verdicts)) == locally_solvable_everywhere(delta)
     one = QuadInt(1, 0)  # N = 1, no pairs at all
     assert _local_report(one, []) == (_archimedean_verdict(one), locally_solvable(one, 2))
+
+
+def test_failing_walk_is_the_failing_part_of_the_report():
+    # the hunt's walk builds no certificate, yet returns exactly the failing
+    # verdicts of the full report, in its order, in rings with both signs
+    # of d and every residue of d mod 4 and mod 8
+    checked = 0
+    for d in (-14, -13, -6, -5, -1, 2, 3, 6, 7):
+        for a in range(-25, 26):
+            for b in range(-25, 26):
+                if a or b:
+                    delta = QuadInt(a, b, d)
+                    factors = numth.factorize(abs(delta.norm()))
+                    want = tuple(v for v in _local_report(delta, factors) if not v.solvable)
+                    assert _local_failures(delta, factors) == want, delta
+                    checked += 1
+    assert checked == 23400
 
 
 def test_locally_solvable_rejects_a_non_prime():
