@@ -106,6 +106,17 @@ def _branch(nf: NormFactorization | None) -> str | None:
     return "d1_nonempty" if nf.d1 else "parity"
 
 
+def _refutation(local_ok: bool, nf: NormFactorization | None) -> DecisionStatus | None:
+    # conditions 1 and 2 in order: a place that fails refutes locally; where
+    # there is symbol data, a failed symbol condition refutes globally; None
+    # leaves the verdict to what follows
+    if not local_ok:
+        return DecisionStatus.LOCAL_OBSTRUCTION
+    if nf is not None and not _symbol_condition(nf):
+        return DecisionStatus.GLOBAL_OBSTRUCTION
+    return None
+
+
 class Decision(NamedTuple):
     """The one record of an answer for delta: the fields are what the
     verdict was computed from; what derives from them is a property."""
@@ -198,15 +209,19 @@ def decide_generic(delta: QuadInt, search_bound: int | None = DEFAULT_WITNESS_BO
         _check_bound(search_bound)
     if delta.is_zero():
         raise ParameterError("delta must be nonzero")
-    factors = tuple(numth.factorize(abs(delta.norm())))
+    return _decide(delta, tuple(numth.factorize(abs(delta.norm()))), search_bound)
+
+
+def _decide(delta: QuadInt, factors: tuple[tuple[int, int], ...], search_bound: int | None) -> Decision:
+    # decide_generic's body on factorize's pairs of |N(delta)|, for a caller
+    # that has factored the norm already
     report = _local_report(delta, factors)  # condition 1
     # a = 0 needs no criterion: N(b*sqrt(-14)) = 14 b^2 has odd valuation at
     # the ramified place over 7, and 7 = 3 (mod 4), so the walk refutes it
     nf = _norm_factorization(delta, factors) if delta.d == DEFAULT_D and delta.a else None
-    if not all(v.solvable for v in report):
-        return Decision(delta, DecisionStatus.LOCAL_OBSTRUCTION, report, nf)
-    if nf is not None and not _symbol_condition(nf):  # condition 2
-        return Decision(delta, DecisionStatus.GLOBAL_OBSTRUCTION, report, nf)
+    status = _refutation(all(v.solvable for v in report), nf)  # conditions 1 and 2
+    if status is not None:
+        return Decision(delta, status, report, nf)
     witness = None if search_bound is None else find_representation(delta, search_bound).witness
     if nf is not None or witness is not None:
         status = DecisionStatus.REPRESENTABLE

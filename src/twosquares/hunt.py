@@ -1,8 +1,11 @@
 """Counterexample hunter: sweep a coordinate box, run the criterion, the
 local solver, the residue sieve and the bounded oracle against each other,
 and emit JSON-ready records.  Each record is read off one factorization of
-N(delta), the places that fail and the symbol data; only a hit gets a full
-Decision.  Output is deterministic for any worker count."""
+N(delta), the places that fail and the symbol data.  Conjugation keeps a and
+the norm and maps each local problem onto its conjugate's, so delta and its
+conjugate share that verdict, computed once per row.  Only a hit gets a full
+Decision, built by the criterion's own body on the factors the verdict holds.
+Output is deterministic for any worker count."""
 
 from __future__ import annotations
 
@@ -10,7 +13,7 @@ import os
 from typing import NamedTuple
 
 from . import numth
-from .criterion import Decision, DecisionStatus, _branch, _norm_factorization, _symbol_condition, decide_qsqrt_m14
+from .criterion import Decision, DecisionStatus, _branch, _decide, _norm_factorization, _refutation
 from .errors import ParameterError
 from .localsolve import _local_failures
 from .ring import QuadInt
@@ -30,7 +33,27 @@ class HuntResult(NamedTuple):
         return tuple(r for r in self.records if r["discrepancy"])
 
 
-def _examine(a: int, b: int, bound: int) -> tuple[dict, Decision | None]:
+class _Verdict(NamedTuple):
+    # the criterion's verdict on delta and on its conjugate: one
+    # factorization of the norm they share, and the record fields read off
+    # it, the places that fail and the symbol data
+    factors: tuple[tuple[int, int], ...]
+    status: DecisionStatus
+    branch: str | None
+    failing_places: tuple[str, ...]
+
+
+def _verdict(delta: QuadInt) -> _Verdict:
+    # the local walk refutes every a = 0 delta at the place over 7, so those
+    # have no symbol data
+    factors = tuple(numth.factorize(abs(delta.norm())))
+    failures = _local_failures(delta, factors)
+    nf = _norm_factorization(delta, factors) if delta.a else None
+    status = _refutation(not failures, nf) or DecisionStatus.REPRESENTABLE
+    return _Verdict(factors, status, _branch(nf), tuple(v.place.label() for v in failures))
+
+
+def _examine(a: int, b: int, bound: int, verdict: _Verdict) -> tuple[dict, Decision | None]:
     delta = QuadInt(a, b)
     # the sieve and the local solver are independent local tests, so a
     # sieved delta that the local solver accepts is a discrepancy
@@ -38,19 +61,8 @@ def _examine(a: int, b: int, bound: int) -> tuple[dict, Decision | None]:
     witness, states = None, 0
     if sieved_mod is None:
         witness, states = find_representation(delta, bound)
-    # the criterion's verdict from one factorization, the places that fail
-    # and the symbol data: the local walk refutes every a = 0 delta at the
-    # place over 7, so those have no symbol data
-    factors = tuple(numth.factorize(abs(delta.norm())))
-    failures = _local_failures(delta, factors)
-    nf = _norm_factorization(delta, factors) if a else None
-    local_ok = not failures
-    if not local_ok:
-        status = DecisionStatus.LOCAL_OBSTRUCTION
-    elif nf is not None and not _symbol_condition(nf):
-        status = DecisionStatus.GLOBAL_OBSTRUCTION
-    else:
-        status = DecisionStatus.REPRESENTABLE
+    status = verdict.status
+    local_ok = not verdict.failing_places
     negative = status is not DecisionStatus.REPRESENTABLE
     hit = status is DecisionStatus.GLOBAL_OBSTRUCTION and witness is None
     record = {
@@ -63,24 +75,30 @@ def _examine(a: int, b: int, bound: int) -> tuple[dict, Decision | None]:
         # a = 0 records keep their own kind and a null status
         "kind": "a_zero" if a == 0 else "criterion",
         "status": None if a == 0 else status.value,
-        "branch": _branch(nf),
-        "failing_places": [v.place.label() for v in failures],
+        "branch": verdict.branch,
+        "failing_places": list(verdict.failing_places),
         "hit": hit,
         "local_ok": local_ok,
         "discrepancy": (witness is not None and negative) or (sieved_mod is not None and local_ok),
     }
     if not hit:
         return record, None
-    # only a hit carries the full Decision, with every place's evidence
-    decision = decide_qsqrt_m14(delta, witness_bound=None)
+    # only a hit carries the full Decision, with every place's evidence,
+    # built on the factors the verdict holds
+    decision = _decide(delta, verdict.factors, None)
     if decision.status is not DecisionStatus.GLOBAL_OBSTRUCTION:
         raise RuntimeError(f"hunt and criterion disagree on {delta}; invariant violated")
     return record, decision
 
 
 def _hunt_row(args: tuple[int, int, int]) -> list[tuple[dict, Decision | None]]:
+    # conjugation is a ring automorphism that keeps a and the norm, and maps
+    # the local problem of delta onto that of its conjugate, so a + b*sqrt(-14)
+    # and a - b*sqrt(-14) fail at the same places with the same symbol data:
+    # the verdict of (a, -|b|) serves (a, |b|) too
     a, box, bound = args
-    return [_examine(a, b, bound) for b in range(-box, box + 1) if (a, b) != (0, 0)]
+    verdicts = [_verdict(QuadInt(a, -c)) if a or c else None for c in range(box + 1)]
+    return [_examine(a, b, bound, verdicts[abs(b)]) for b in range(-box, box + 1) if (a, b) != (0, 0)]
 
 
 def hunt_counterexamples(box: int, bound: int, workers: int = 1) -> HuntResult:

@@ -170,14 +170,20 @@ def test_criterion_6_obstruction_exhibit(acceptance_sweep):
 def test_criterion_7_structural_invariants(acceptance_sweep):
     result, _ = acceptance_sweep
     t0 = time.perf_counter()
-    status = {
-        (r["a"], r["b"]): r["status"] for r in result.records if r["kind"] == "criterion"
+    # the hunt shares one verdict between conjugates, so invariance is read
+    # off the criterion's own Decisions, one per delta
+    decisions = {
+        (r["a"], r["b"]): decide_qsqrt_m14(QuadInt(r["a"], r["b"]), None)
+        for r in result.records
+        if r["kind"] == "criterion"
     }
-    for (a, b), st in status.items():
-        assert status[(a, -b)] == st, (a, b)
     d2_seen = 0
-    for a, b in status:
-        nf = decide_qsqrt_m14(QuadInt(a, b), None).factorization
+    for (a, b), decision in decisions.items():
+        conjugate = decisions[(a, -b)]
+        assert conjugate.status is decision.status, (a, b)
+        assert conjugate.branch == decision.branch, (a, b)
+        assert conjugate.failing_places == decision.failing_places, (a, b)
+        nf = decision.factorization
         exps = dict(nf.factors)
         for p in nf.d2:
             d2_seen += 1

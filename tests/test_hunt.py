@@ -2,10 +2,11 @@
 
 import hashlib
 import pickle
+from collections import Counter
 
 import pytest
 
-from twosquares import criterion, hunt, localsolve
+from twosquares import criterion, hunt, localsolve, numth
 from twosquares.cli import canonical_json
 from twosquares.criterion import DecisionStatus, decide_qsqrt_m14
 from twosquares.errors import ParameterError
@@ -24,11 +25,24 @@ BOX5_HITS = [
 BOX12_DIGEST = "ee107e6acbbbc17eaebb9e9b2f4679c76001a23ffbcc2c622c4805c6a8c5f595"
 
 
+# the same for hunt_counterexamples(60, 100), taken from `python -m
+# twosquares hunt --box 60 --bound 100` at workers 1 and 2
+BOX60_DIGEST = "bb6bf772be8db9dac723afb9185254e5849e5942946ed08121d3f473e37dcb2d"
+
+
 def test_box12_output_is_frozen():
     result = hunt_counterexamples(12, 100, workers=1)
     text = "".join(canonical_json(line) + "\n" for line in result_lines(result))
     assert result.summary["hits"] == 39
     assert hashlib.sha256(text.encode()).hexdigest() == BOX12_DIGEST
+
+
+def test_box60_output_is_frozen():
+    # norms up to 54000, past every hit of box 12
+    result = hunt_counterexamples(60, 100)
+    text = "".join(canonical_json(line) + "\n" for line in result_lines(result))
+    assert len(result.records) == 14640 and len(result.hits) == 579
+    assert hashlib.sha256(text.encode()).hexdigest() == BOX60_DIGEST
 
 
 def test_box5_fixed():
@@ -210,18 +224,26 @@ def test_records_match_the_full_decisions(acceptance_sweep):
 
 def test_only_hits_get_a_full_local_report(monkeypatch):
     # the hunt walks the failing places of every delta, and builds the full
-    # per-place report, certificates and all, for its hits alone
-    reports, certificates = [], []
+    # per-place report, certificates and all, for its hits alone.  A row
+    # shares one verdict between a + b*sqrt(-14) and its conjugate, and a
+    # hit's Decision is built on the factors that verdict holds, so box 12
+    # factors and walks the 324 deltas with b <= 0 once each
+    reports, certificates, calls = [], [], Counter()
     report, solution = localsolve._local_report, localsolve.ModularSolution
+    factorize, failures = numth.factorize, hunt._local_failures
 
     def counted_report(delta, factors):
         reports.append(delta)
         return report(delta, factors)
 
+    QuadInt(1, 1)  # the cached check of d factors |d| once
     monkeypatch.setattr(criterion, "_local_report", counted_report)
     monkeypatch.setattr(localsolve, "_local_report", counted_report)
     monkeypatch.setattr(localsolve, "ModularSolution", lambda *args: certificates.append(args) or solution(*args))
+    monkeypatch.setattr(numth, "factorize", lambda n: calls.update(["factorize"]) or factorize(n))
+    monkeypatch.setattr(hunt, "_local_failures", lambda *args: calls.update(["failures"]) or failures(*args))
     result = hunt_counterexamples(12, 100)
+    assert calls == {"factorize": 324, "failures": 324}
     assert len(reports) == result.summary["hits"] == 39
     assert reports == [hit.delta for hit in result.hits]
     held = [v.certificate for hit in result.hits for v in hit.local_report if v.certificate is not None]
@@ -231,6 +253,6 @@ def test_only_hits_get_a_full_local_report(monkeypatch):
 def test_a_hit_the_criterion_does_not_confirm_raises(monkeypatch):
     # a hit's full Decision must agree with the record; the check is a
     # raise, so it holds under python -O as well
-    monkeypatch.setattr(hunt, "decide_qsqrt_m14", lambda delta, witness_bound: decide_qsqrt_m14(-delta, None))
+    monkeypatch.setattr(hunt, "_decide", lambda delta, factors, search_bound: decide_qsqrt_m14(-delta, None))
     with pytest.raises(RuntimeError, match="invariant violated"):
         hunt_counterexamples(1, 10)

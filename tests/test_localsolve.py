@@ -83,6 +83,28 @@ def test_failing_walk_is_the_failing_part_of_the_report():
     assert checked == 23400
 
 
+def test_conjugates_have_the_same_local_verdicts():
+    # conjugation is a ring automorphism that keeps a and the norm, so delta
+    # and its conjugate fail and hold at the same places, at the same
+    # levels; the hunt shares one verdict between them on this theorem
+    def key(verdicts):
+        return [(v.place, v.solvable, v.exhausted_at) for v in verdicts]
+
+    checked = 0
+    for d in (-14, -13, -6, -5, -2, -1, 2, 3, 6, 7, 11):
+        for a in range(-30, 31):
+            for b in range(-30, 31):
+                if a or b:
+                    delta = QuadInt(a, b, d)
+                    conj = delta.conj()
+                    assert conj.norm() == delta.norm(), delta
+                    factors = numth.factorize(abs(delta.norm()))
+                    assert key(_local_report(conj, factors)) == key(_local_report(delta, factors)), delta
+                    assert key(_local_failures(conj, factors)) == key(_local_failures(delta, factors)), delta
+                    checked += 1
+    assert checked == 40920
+
+
 def test_locally_solvable_rejects_a_non_prime():
     for p in (0, 1, -3, 4, 6, 9, 15):
         with pytest.raises(ParameterError, match=f"got {p}$"):
