@@ -3,7 +3,10 @@ local solver, the residue sieve and the bounded oracle against each other,
 and emit JSON-ready records.  Each record is read off one factorization of
 N(delta), the places that fail and the symbol data.  Conjugation keeps a and
 the norm and maps each local problem onto its conjugate's, so delta and its
-conjugate share that verdict, computed once per row.  Only a hit gets a full
+conjugate share that verdict, computed once per row.  Conjugation keeps the
+search box too, so the conjugate's box witnesses are the conjugates of
+delta's, and one orbit walk serves the pair; a b = 0 delta has no partner
+and keeps its own find_representation call.  Only a hit gets a full
 Decision, built by the criterion's own body on the factors the verdict holds.
 Output is deterministic for any worker count."""
 
@@ -17,7 +20,15 @@ from .criterion import Decision, DecisionStatus, _branch, _decide, _norm_factori
 from .errors import ParameterError
 from .localsolve import _local_failures
 from .ring import QuadInt
-from .search import _check_bound, find_representation, residue_obstruction, verify_witness, witness_jsonable
+from .search import (
+    SearchReport,
+    _check_bound,
+    _search_reports,
+    find_representation,
+    residue_obstruction,
+    verify_witness,
+    witness_jsonable,
+)
 
 
 class HuntResult(NamedTuple):
@@ -53,14 +64,14 @@ def _verdict(delta: QuadInt) -> _Verdict:
     return _Verdict(factors, status, _branch(nf), tuple(v.place.label() for v in failures))
 
 
-def _examine(a: int, b: int, bound: int, verdict: _Verdict) -> tuple[dict, Decision | None]:
-    delta = QuadInt(a, b)
+def _examine(
+    delta: QuadInt, verdict: _Verdict, sieved_mod: int | None, report: SearchReport | None
+) -> tuple[dict, Decision | None]:
     # the sieve and the local solver are independent local tests, so a
-    # sieved delta that the local solver accepts is a discrepancy
-    sieved_mod = residue_obstruction(delta)
-    witness, states = None, 0
-    if sieved_mod is None:
-        witness, states = find_representation(delta, bound)
+    # sieved delta that the local solver accepts is a discrepancy; a sieved
+    # delta is not searched
+    a, b = delta.a, delta.b
+    witness, states = (None, 0) if sieved_mod is not None else report
     status = verdict.status
     local_ok = not verdict.failing_places
     negative = status is not DecisionStatus.REPRESENTABLE
@@ -92,13 +103,30 @@ def _examine(a: int, b: int, bound: int, verdict: _Verdict) -> tuple[dict, Decis
 
 
 def _hunt_row(args: tuple[int, int, int]) -> list[tuple[dict, Decision | None]]:
-    # conjugation is a ring automorphism that keeps a and the norm, and maps
-    # the local problem of delta onto that of its conjugate, so a + b*sqrt(-14)
-    # and a - b*sqrt(-14) fail at the same places with the same symbol data:
-    # the verdict of (a, -|b|) serves (a, |b|) too
+    # Conjugation is a ring automorphism that keeps a, the norm and the
+    # search box, and maps the local problem of delta onto that of its
+    # conjugate, so a + b*sqrt(-14) and a - b*sqrt(-14) fail at the same
+    # places with the same symbol data: the verdict of (a, -|b|) serves
+    # (a, |b|) too.  Their box witnesses are conjugate, so one search
+    # serves the pair, run for the first member the sieve passes.  A b = 0
+    # delta has no partner and keeps the public call.  The verdicts, the
+    # sieve and the searches each run as one pass over the row (mixing them
+    # delta by delta made the sweep slower), and records and hit Decisions
+    # come out in ascending b.
     a, box, bound = args
-    verdicts = [_verdict(QuadInt(a, -c)) if a or c else None for c in range(box + 1)]
-    return [_examine(a, b, bound, verdicts[abs(b)]) for b in range(-box, box + 1) if (a, b) != (0, 0)]
+    deltas = [QuadInt(a, b) for b in range(-box, box + 1) if (a, b) != (0, 0)]
+    verdicts = {delta.b: _verdict(delta) for delta in deltas if delta.b <= 0}
+    sieved = [residue_obstruction(delta) for delta in deltas]
+    reports = {}
+    for delta, m in zip(deltas, sieved):
+        if m is None and delta.b not in reports:
+            if delta.b:
+                reports[delta.b], reports[-delta.b] = _search_reports(delta, bound, True)
+            else:
+                reports[0] = find_representation(delta, bound)
+    return [
+        _examine(delta, verdicts[-abs(delta.b)], m, reports.get(delta.b)) for delta, m in zip(deltas, sieved)
+    ]
 
 
 def hunt_counterexamples(box: int, bound: int, workers: int = 1) -> HuntResult:

@@ -207,9 +207,15 @@ def _box_witness(delta: QuadInt, bound: int) -> tuple[int, int, int, int] | None
     return next(_witnesses(delta, bound, MASK_MODULI, [bound] * (bound + 1)), None)
 
 
-def _orbit_witness(delta: QuadInt, bound: int, lim: int, c: int, e: int) -> tuple[int, int, int, int] | None:
-    # The least witness (u, v, s, t) of the box, for d < -1 and
-    # lim <= bound**2, from the representatives Q <= lim (see
+def _least_image(u: int, v: int, s: int, t: int) -> tuple[int, int, int, int]:
+    # the least of the 8 images (+-x, +-y) and (+-y, +-x) of a witness
+    x, y = min((u, v), (-u, -v)), min((s, t), (-s, -t))
+    return min(x + y, y + x)
+
+
+def _orbit_witnesses(delta: QuadInt, bound: int, lim: int, c: int, e: int) -> list[tuple[int, int, int, int]]:
+    # Every witness (u, v, s, t) of the box, each as its least image, for
+    # d < -1 and lim <= bound**2, from the representatives Q <= lim (see
     # find_representation) and their orbits under eps = c + e*sqrt|d|.
     d = delta.d
     # The window is about 1/50 of the half-box, so the rows mod 7 and 13,
@@ -221,19 +227,59 @@ def _orbit_witness(delta: QuadInt, bound: int, lim: int, c: int, e: int) -> tupl
     # the box, a direction leaves the box for good.
     largest = 2 * (1 - d) * bound * bound
     found = []
-    for rep in _witnesses(delta, bound, MASK_MODULI[:3], spans):
-        u, v, s, t = rep
-        if u * u - d * v * v + s * s - d * t * t > lim:
+    for u0, v0, s0, t0 in _witnesses(delta, bound, MASK_MODULI[:3], spans):
+        if u0 * u0 - d * v0 * v0 + s0 * s0 - d * t0 * t0 > lim:
             continue
-        for f in (e, -e):  # each direction starts at the representative
-            u, v, s, t = rep
+        # the eps direction starts at the representative, the 1/eps one a
+        # step past it, so each orbit point is visited once
+        back = c * u0 - e * d * t0, c * v0 - e * s0, c * s0 + e * d * v0, c * t0 + e * u0
+        for f, (u, v, s, t) in ((e, (u0, v0, s0, t0)), (-e, back)):
             while u * u - d * v * v + s * s - d * t * t <= largest:
                 if max(abs(u), abs(v), abs(s), abs(t)) <= bound:
-                    # the least of the 8 images (+-x, +-y) and (+-y, +-x)
-                    x, y = min((u, v), (-u, -v)), min((s, t), (-s, -t))
-                    found.append(min(x + y, y + x))
+                    found.append(_least_image(u, v, s, t))
                 u, v, s, t = c * u + f * d * t, c * v + f * s, c * s - f * d * v, c * t - f * u
-    return min(found, default=None)
+    return found
+
+
+def _search_reports(delta: QuadInt, bound: int, pair: bool) -> tuple[SearchReport, ...]:
+    # The report of find_representation for delta, and with pair also the
+    # one for delta.conj().  Conjugation is a ring automorphism that keeps
+    # the box, the norm and the parity of b, so the two share every early
+    # exit and the route, and the box witnesses of the conjugate are the
+    # conjugates (u, -v, s, -t) of delta's: on the route one orbit walk
+    # lists them all.  The order is not conjugation-invariant, so the
+    # conjugate's least witness is the least of those re-normalized, not
+    # the conjugate of delta's least.  The box scan stops at its first
+    # witness, so off the route each delta gets its own scan.
+    _check_bound(bound)
+    d, count = delta.d, 1 + pair
+    if delta.is_zero():
+        zero = QuadInt(0, 0, d)
+        return (SearchReport((zero, zero), 0),) * count
+    if delta.b % 2:
+        return (SearchReport(None, 0),) * count
+    width = 2 * bound + 1
+    miss = SearchReport(None, width * width)
+    if d < 0 and delta.norm() > (2 * (1 - d) * bound * bound) ** 2:
+        return (miss,) * count
+    route = _unit_route(delta, bound)
+    if route is None:
+        found = [_box_witness(delta, bound)]
+        if pair:
+            found.append(_box_witness(delta.conj(), bound))
+    else:
+        images = _orbit_witnesses(delta, bound, *route)
+        found = [min(images, default=None)]
+        if pair:
+            found.append(min((_least_image(u, -v, s, -t) for u, v, s, t in images), default=None))
+    reports = []
+    for w in found:
+        if w is None:
+            reports.append(miss)
+        else:
+            u, v, s, t = w
+            reports.append(SearchReport((QuadInt(u, v, d), QuadInt(s, t, d)), (u + bound) * width + v + bound + 1))
+    return tuple(reports)
 
 
 def find_representation(delta: QuadInt, bound: int) -> SearchReport:
@@ -269,22 +315,7 @@ def find_representation(delta: QuadInt, bound: int) -> SearchReport:
     (u, v) order, and y is the first square root of delta - x^2 in (s, t)
     order, found exactly from its norm.
     """
-    _check_bound(bound)
-    d = delta.d
-    if delta.is_zero():
-        zero = QuadInt(0, 0, d)
-        return SearchReport((zero, zero), 0)
-    if delta.b % 2:
-        return SearchReport(None, 0)
-    width = 2 * bound + 1
-    if d < 0 and delta.norm() > (2 * (1 - d) * bound * bound) ** 2:
-        return SearchReport(None, width * width)
-    route = _unit_route(delta, bound)
-    found = _box_witness(delta, bound) if route is None else _orbit_witness(delta, bound, *route)
-    if found is None:
-        return SearchReport(None, width * width)
-    u, v, s, t = found
-    return SearchReport((QuadInt(u, v, d), QuadInt(s, t, d)), (u + bound) * width + v + bound + 1)
+    return _search_reports(delta, bound, False)[0]
 
 
 def two_square_search(n: int) -> tuple[int, int] | None:

@@ -6,13 +6,13 @@ from collections import Counter
 
 import pytest
 
-from twosquares import criterion, hunt, localsolve, numth
+from twosquares import criterion, hunt, localsolve, numth, search
 from twosquares.cli import canonical_json
 from twosquares.criterion import DecisionStatus, decide_qsqrt_m14
 from twosquares.errors import ParameterError
 from twosquares.hunt import hunt_counterexamples, result_lines
 from twosquares.ring import QuadInt
-from twosquares.search import find_representation
+from twosquares.search import find_representation, witness_jsonable
 
 BOX5_HITS = [
     (-4, 0), (-3, -4), (-3, 4), (-2, 0), (-1, 0),
@@ -256,3 +256,41 @@ def test_a_hit_the_criterion_does_not_confirm_raises(monkeypatch):
     monkeypatch.setattr(hunt, "_decide", lambda delta, factors, search_bound: decide_qsqrt_m14(-delta, None))
     with pytest.raises(RuntimeError, match="invariant violated"):
         hunt_counterexamples(1, 10)
+
+
+def test_records_match_the_search_oracle(acceptance_sweep):
+    # a row searches each conjugate pair once, so the record of (a, |b|)
+    # reads its witness off the walk of (a, -|b|); every record the sieve
+    # passes must still hold find_representation's own witness and states
+    result, _ = acceptance_sweep
+    searched = 0
+    for r in result.records:
+        if r["sieved_mod"] is None:
+            searched += 1
+            witness, states = find_representation(QuadInt(r["a"], r["b"]), 100)
+            assert (r["witness"], r["search_states"]) == (witness_jsonable(witness), states), r
+    assert searched == 522
+    # the least witness of (12, 10) is not the conjugate of that of
+    # (12, -10), whose states are 5137: the lexicographic order is not
+    # conjugation-invariant
+    records = {(r["a"], r["b"]): r for r in result.records}
+    assert records[(12, -10)]["search_states"] == 5137
+    assert records[(12, 10)]["search_states"] == 5107
+    assert records[(12, 10)]["witness"] == {"x": {"a": -75, "b": -19}, "y": {"a": -71, "b": 20}}
+
+
+def test_a_pair_is_searched_once(monkeypatch):
+    # Box 12 walks 80 orbits (142 when each delta had its own search): one
+    # per conjugate pair and per b = 0 delta that passes the sieve.  The
+    # b = 0 deltas keep the public find_representation call, so a traced
+    # sweep still counts search spans and perfbench's
+    # sweep.search.hit_ratio stays defined.  The sieve still runs on every
+    # delta.
+    calls = Counter()
+    walk, public, sieve = search._orbit_witnesses, hunt.find_representation, hunt.residue_obstruction
+    QuadInt(1, 1)  # the cached check of d factors |d| once
+    monkeypatch.setattr(search, "_orbit_witnesses", lambda *args: calls.update(["walk"]) or walk(*args))
+    monkeypatch.setattr(hunt, "find_representation", lambda *args: calls.update(["public"]) or public(*args))
+    monkeypatch.setattr(hunt, "residue_obstruction", lambda delta: calls.update(["sieve"]) or sieve(delta))
+    hunt_counterexamples(12, 100)
+    assert calls == {"walk": 80, "public": 18, "sieve": 624}

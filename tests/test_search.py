@@ -196,7 +196,10 @@ def test_search_shares_no_code_with_the_solver(monkeypatch):
     deltas = [QuadInt(a, b, d) for d in (-14, -5, 2) for a in box for b in box]
 
     def run():
-        return [(residue_obstruction(delta), find_representation(delta, 100)) for delta in deltas]
+        return [
+            (residue_obstruction(delta), find_representation(delta, 100), search._search_reports(delta, 100, True))
+            for delta in deltas
+        ]
 
     def refusing(name):
         def refuse(*args, **kwargs):
@@ -216,7 +219,7 @@ def test_search_shares_no_code_with_the_solver(monkeypatch):
                 patched += 1
     assert patched > 20
     assert run() == expected
-    assert sum(report.witness is not None for _, report in expected) == 291
+    assert sum(report.witness is not None for _, report, _ in expected) == 291
 
 
 def test_sieved_deltas_have_no_witness():
@@ -409,3 +412,93 @@ def test_large_units_take_the_route_where_it_fits(monkeypatch):
             r = find_representation(delta, bound)
             assert built == moduli, (delta, bound)
             assert tuple(r) == full_box_scan(delta, bound), (delta, bound)
+
+
+def test_pair_search_equals_two_searches(monkeypatch):
+    # The hunt searches a conjugate pair once: on the orbit route one walk
+    # lists every box witness of delta, and the conjugate's are their
+    # conjugates.  Both reports must be find_representation's, witness and
+    # states, on every path: odd b, the norm cap (bound 1), the route and
+    # the box scan.  The order is not conjugation-invariant, so the
+    # conjugate's least witness is often not the conjugate of delta's.
+    walks = []
+    walk = search._orbit_witnesses
+    monkeypatch.setattr(search, "_orbit_witnesses", lambda *args: walks.append(args) or walk(*args))
+    paths, shortcut_wrong = {"odd": 0, "cap": 0, "route": 0, "box": 0}, 0
+    for d in ORBIT_RINGS:
+        for bound in (1, 5, 50, 100):
+            for a, b in itertools.product(range(-20, 21), repeat=2):
+                if not (a or b):
+                    continue
+                delta = QuadInt(a, b, d)
+                expected = find_representation(delta, bound), find_representation(delta.conj(), bound)
+                walks.clear()
+                pair = search._search_reports(delta, bound, True)
+                assert pair == expected, (delta, bound)
+                if b % 2:
+                    paths["odd"] += 1
+                elif delta.norm() > (2 * (1 - d) * bound * bound) ** 2:
+                    paths["cap"] += 1
+                else:
+                    paths["route" if walks else "box"] += 1
+                assert len(walks) <= 1
+                if pair[0].witness is not None:
+                    x, y = pair[0].witness
+                    shortcut = search._least_image(x.a, -x.b, y.a, -y.b)
+                    x, y = pair[1].witness
+                    shortcut_wrong += shortcut != (x.a, x.b, y.a, y.b)
+    assert paths == {"odd": 29520, "cap": 5474, "route": 12258, "box": 13228}
+    assert shortcut_wrong == 210
+
+
+def test_conjugates_have_the_same_sieve_verdict():
+    # conjugation is an automorphism of every Z[sqrt(d)]/m, so it keeps the
+    # set of sums of two squares mod m
+    checked = 0
+    for d in (*ORBIT_RINGS, 2, 3, 6, 7):
+        for a, b in itertools.product(range(-20, 21), repeat=2):
+            delta = QuadInt(a, b, d)
+            assert residue_obstruction(delta) == residue_obstruction(delta.conj()), delta
+            checked += 1
+    assert checked == 13 * 41 * 41
+
+
+def test_orbit_walk_lists_every_box_witness_once_per_orbit_point(monkeypatch):
+    # The route's walk lists the least image of every box witness, found
+    # here by a plain lookup over the whole box, and each representative's
+    # walk visits each of its orbit points once: the 1/eps direction starts
+    # a step past the representative, which the eps direction has visited.
+    log = []
+    witnesses, least = search._witnesses, search._least_image
+    monkeypatch.setattr(search, "_witnesses", lambda *args: (log.append(("rep", w)) or w for w in witnesses(*args)))
+    monkeypatch.setattr(search, "_least_image", lambda *point: log.append(point) or least(*point))
+    routed = visits = 0
+    for d in ORBIT_RINGS:
+        for bound in (6, 12):
+            box = range(-bound, bound + 1)
+            squares = {}
+            for u, v in itertools.product(box, repeat=2):
+                x = QuadInt(u, v, d)
+                squares.setdefault(x * x, []).append((u, v))
+            for a, b in itertools.product(range(-20, 21), range(-20, 21, 2)):
+                delta = QuadInt(a, b, d)
+                route = search._unit_route(delta, bound)
+                if delta.is_zero() or route is None:
+                    continue
+                routed += 1
+                expected = set()
+                for square, xs in squares.items():
+                    for s, t in squares.get(delta - square, ()):
+                        expected |= {least(u, v, s, t) for u, v in xs}
+                log.clear()
+                assert set(search._orbit_witnesses(delta, bound, *route)) == expected, (delta, bound)
+                walked = []
+                for entry in log:
+                    if entry[0] == "rep":
+                        walked.append([])
+                    else:
+                        walked[-1].append(entry)
+                for points in walked:
+                    assert len(points) == len(set(points)), (delta, bound)
+                visits += sum(map(len, walked))
+    assert (routed, visits) == (1818, 3980)
