@@ -1,7 +1,9 @@
 """Global decision procedures: one decision body for every quadratic ring
 (one factorization of N(delta), the local walk on it, then for d = -14 the
 exact symbol condition read off that same factorization, else a bounded
-witness search) and the classical test over Z."""
+witness search) and the classical test over Z.  Conditions 1 and 2 (every
+place, then the symbol condition) live in one private core, which the
+hunt calls too, on a walk that builds no certificate."""
 
 from __future__ import annotations
 
@@ -106,15 +108,24 @@ def _branch(nf: NormFactorization | None) -> str | None:
     return "d1_nonempty" if nf.d1 else "parity"
 
 
-def _refutation(local_ok: bool, nf: NormFactorization | None) -> DecisionStatus | None:
-    # conditions 1 and 2 in order: a place that fails refutes locally; where
-    # there is symbol data, a failed symbol condition refutes globally; None
-    # leaves the verdict to what follows
-    if not local_ok:
-        return DecisionStatus.LOCAL_OBSTRUCTION
+def _conditions(
+    delta: QuadInt, factors: tuple[tuple[int, int], ...], certify: bool = True
+) -> tuple[tuple[LocalVerdict, ...], NormFactorization | None, DecisionStatus | None]:
+    # conditions 1 and 2 on factorize's pairs of |N(delta)|, in order: a
+    # place that fails refutes locally; where there is symbol data, a
+    # failed symbol condition refutes globally; a None status leaves the
+    # verdict to what follows.  The report is the local walk's, with no
+    # certificate and only the failing places unless certify is set.
+    # Symbol data needs d = -14 and a != 0, for the 7-part of a.  a = 0
+    # needs none: N(b*sqrt(-14)) = 14 b^2 has odd valuation at the ramified
+    # place over 7, and 7 = 3 (mod 4), so the walk refutes it.
+    report = _local_report(delta, factors, certify)
+    nf = _norm_factorization(delta, factors) if delta.d == DEFAULT_D and delta.a else None
+    if not all(v.solvable for v in report):
+        return report, nf, DecisionStatus.LOCAL_OBSTRUCTION
     if nf is not None and not _symbol_condition(nf):
-        return DecisionStatus.GLOBAL_OBSTRUCTION
-    return None
+        return report, nf, DecisionStatus.GLOBAL_OBSTRUCTION
+    return report, nf, None
 
 
 class Decision(NamedTuple):
@@ -215,11 +226,7 @@ def decide_generic(delta: QuadInt, search_bound: int | None = DEFAULT_WITNESS_BO
 def _decide(delta: QuadInt, factors: tuple[tuple[int, int], ...], search_bound: int | None) -> Decision:
     # decide_generic's body on factorize's pairs of |N(delta)|, for a caller
     # that has factored the norm already
-    report = _local_report(delta, factors)  # condition 1
-    # a = 0 needs no criterion: N(b*sqrt(-14)) = 14 b^2 has odd valuation at
-    # the ramified place over 7, and 7 = 3 (mod 4), so the walk refutes it
-    nf = _norm_factorization(delta, factors) if delta.d == DEFAULT_D and delta.a else None
-    status = _refutation(all(v.solvable for v in report), nf)  # conditions 1 and 2
+    report, nf, status = _conditions(delta, factors)
     if status is not None:
         return Decision(delta, status, report, nf)
     witness = None if search_bound is None else find_representation(delta, search_bound).witness

@@ -1,14 +1,16 @@
 """Counterexample hunter: sweep a coordinate box, run the criterion, the
 local solver, the residue sieve and the bounded oracle against each other,
 and emit JSON-ready records.  Each record is read off one factorization of
-N(delta), the places that fail and the symbol data.  Conjugation keeps a and
-the norm and maps each local problem onto its conjugate's, so delta and its
-conjugate share that verdict, computed once per row.  Conjugation keeps the
-search box too, so the conjugate's box witnesses are the conjugates of
-delta's, and one orbit walk serves the pair; a b = 0 delta has no partner
-and keeps its own find_representation call.  Only a hit gets a full
-Decision, built by the criterion's own body on the factors the verdict holds.
-Output is deterministic for any worker count."""
+N(delta) by the criterion's core for conditions 1 and 2, on a local walk
+that builds no certificate: the places that fail and the symbol data.
+Conjugation keeps a and the norm and maps each local problem onto its
+conjugate's, so delta and its conjugate share that verdict, computed once
+per row.  Conjugation keeps the search box too, so the conjugate's box
+witnesses are the conjugates of delta's, and one orbit walk serves the
+pair; a b = 0 delta has no partner and keeps its own find_representation
+call.  Only a hit gets a full Decision, built by the criterion's own body
+on the factors the verdict holds.  Output is deterministic for any worker
+count."""
 
 from __future__ import annotations
 
@@ -16,9 +18,8 @@ import os
 from typing import NamedTuple
 
 from . import numth
-from .criterion import Decision, DecisionStatus, _branch, _decide, _norm_factorization, _refutation
+from .criterion import Decision, DecisionStatus, _branch, _conditions, _decide
 from .errors import ParameterError
-from .localsolve import _local_failures
 from .ring import QuadInt
 from .search import (
     SearchReport,
@@ -55,12 +56,12 @@ class _Verdict(NamedTuple):
 
 
 def _verdict(delta: QuadInt) -> _Verdict:
-    # the local walk refutes every a = 0 delta at the place over 7, so those
-    # have no symbol data
+    # the criterion's conditions on a certificate-free walk, which returns
+    # only the places that fail; every d = -14 delta they leave standing is
+    # representable
     factors = tuple(numth.factorize(abs(delta.norm())))
-    failures = _local_failures(delta, factors)
-    nf = _norm_factorization(delta, factors) if delta.a else None
-    status = _refutation(not failures, nf) or DecisionStatus.REPRESENTABLE
+    failures, nf, status = _conditions(delta, factors, False)
+    status = status or DecisionStatus.REPRESENTABLE
     return _Verdict(factors, status, _branch(nf), tuple(v.place.label() for v in failures))
 
 

@@ -1,8 +1,10 @@
 """Per-place solvability of x^2 + y^2 = delta over the completions of
-Z[sqrt(d)], in closed form at every place, each positive verdict with a
-Hensel-smooth certificate: the residue-field rule at odd places, and at
-p = 2 a primitive sum of two squares mod 8 after dividing out the largest
-possible even power of the uniformizer."""
+Z[sqrt(d)], in closed form at every place: the residue-field rule at odd
+places, and at p = 2 a primitive sum of two squares mod 8 after dividing
+out the largest possible even power of the uniformizer.  One walk visits
+every place that can obstruct.  Each place runs its failure test first and
+then, on request, builds a Hensel-smooth certificate for a positive
+verdict; the hunt walks without certificates and keeps the failures."""
 
 from __future__ import annotations
 
@@ -84,10 +86,8 @@ def _odd_failure(delta: QuadInt, place: Place, vn: int) -> LocalVerdict | None:
     return LocalVerdict(place, False, None, min(odd) + 1) if odd else None
 
 
-def _odd_verdict(delta: QuadInt, place: Place, vn: int) -> LocalVerdict:
-    failure = _odd_failure(delta, place, vn)
-    if failure is not None:
-        return failure
+def _odd_certificate(delta: QuadInt, place: Place, vn: int) -> LocalVerdict:
+    # the solvable verdict at an odd place where _odd_failure passed
     a, b, d = delta.a, delta.b, delta.d
     p, splitting = place.prime, place.splitting
     if splitting is Splitting.SPLIT:  # a split place's certificate level
@@ -188,11 +188,9 @@ def _two_adic_descent(delta: QuadInt, v: int) -> tuple[int, tuple[int, int] | No
     return half + 1 + (prev is not None and (prev[0] % 4, prev[1] % 4) in _primitive_sums_mod(d, 2)), None
 
 
-def _two_adic_verdict(delta: QuadInt, place: Place, v: int) -> LocalVerdict:
+def _two_adic_certificate(delta: QuadInt, place: Place, m: int, e: tuple[int, int]) -> LocalVerdict:
+    # the solvable verdict at 2 on the descent's least m and eps_m mod 8:
     # the certificate is x0, y0 of eps_m's first pair, times pi^m
-    m, e = _two_adic_descent(delta, v)
-    if e is None:
-        return LocalVerdict(place, False, None, m)
     d, level = delta.d, m + 3
     pi = (0, 1) if d % 4 == 2 else (1, 1)
     x, y = _primitive_sums_mod(d, 3)[e]
@@ -201,12 +199,18 @@ def _two_adic_verdict(delta: QuadInt, place: Place, v: int) -> LocalVerdict:
     return LocalVerdict(place, True, ModularSolution(x, y, level, True), level)
 
 
-def _place_verdict(delta: QuadInt, p: int, vn: int) -> LocalVerdict:
-    # the verdict at the place over a prime p, given vn = v_p(N(delta))
+def _place_verdict(delta: QuadInt, p: int, vn: int, certify: bool = True) -> LocalVerdict | None:
+    # the verdict at the place over a prime p, given vn = v_p(N(delta)):
+    # the failure test first, then, where it passes and certify is set,
+    # the certificate; None where it passes and certify is not set
     place = ring._place(p, delta.d)
     if p == 2:  # 2 ramifies, so v_pi(delta) = v_2(N(delta))
-        return _two_adic_verdict(delta, place, vn)
-    return _odd_verdict(delta, place, vn)
+        m, e = _two_adic_descent(delta, vn)
+        if e is None:
+            return LocalVerdict(place, False, None, m)
+        return _two_adic_certificate(delta, place, m, e) if certify else None
+    failure = _odd_failure(delta, place, vn)
+    return _odd_certificate(delta, place, vn) if failure is None and certify else failure
 
 
 def locally_solvable(delta: QuadInt, p: int) -> LocalVerdict:
@@ -226,34 +230,19 @@ def _archimedean_verdict(delta: QuadInt) -> LocalVerdict:
     return LocalVerdict(Place(None), ok)
 
 
-def _local_report(delta: QuadInt, factors: Iterable[tuple[int, int]]) -> tuple[LocalVerdict, ...]:
+def _local_report(
+    delta: QuadInt, factors: Iterable[tuple[int, int]], certify: bool = True
+) -> tuple[LocalVerdict, ...]:
     # The verdicts at oo, 2 and every p of factorize's sorted (p, e) pairs
     # of |N(delta)|, in that order: only these places can obstruct, and
     # each e is v_p(N(delta)).  2 can obstruct even when it does not divide
-    # N(delta), so the walk always visits it.
-    walk = {2: 0} | dict(factors)
-    return (_archimedean_verdict(delta), *(_place_verdict(delta, p, e) for p, e in walk.items()))
-
-
-def _local_failures(delta: QuadInt, factors: Iterable[tuple[int, int]]) -> tuple[LocalVerdict, ...]:
-    # exactly the failing verdicts of _local_report(delta, factors), in its
-    # order, with no certificate built at a place that is solvable; the
-    # place over oo of d < 0 is complex, so it never fails
-    failures = []
-    if delta.d > 0:
-        real = _archimedean_verdict(delta)
-        if not real.solvable:
-            failures.append(real)
-    for p, vn in ({2: 0} | dict(factors)).items():
-        place = ring._place(p, delta.d)
-        if p != 2:
-            failure = _odd_failure(delta, place, vn)
-        else:
-            k, e = _two_adic_descent(delta, vn)
-            failure = LocalVerdict(place, False, None, k) if e is None else None
-        if failure is not None:
-            failures.append(failure)
-    return tuple(failures)
+    # N(delta), so the walk always visits it.  Without certify the walk
+    # builds no certificate and keeps only the verdicts that fail; the
+    # place over oo of d < 0 is complex, so it never fails.
+    verdicts = [_archimedean_verdict(delta)] if certify or delta.d > 0 else []
+    for p, e in ({2: 0} | dict(factors)).items():
+        verdicts.append(_place_verdict(delta, p, e, certify))
+    return tuple(verdicts) if certify else tuple(v for v in verdicts if v is not None and not v.solvable)
 
 
 def locally_solvable_everywhere(delta: QuadInt) -> tuple[bool, list[LocalVerdict]]:

@@ -198,8 +198,8 @@ def test_sieve_against_local_solver_sets_discrepancy(monkeypatch):
     # force the sieve to refute everything, and the local solver to accept
     # every a = 0 delta: each record the local side accepts must be flagged
     monkeypatch.setattr(hunt, "residue_obstruction", lambda delta: 7)
-    failures = hunt._local_failures
-    monkeypatch.setattr(hunt, "_local_failures", lambda delta, factors: failures(delta, factors) if delta.a else ())
+    report = criterion._local_report
+    monkeypatch.setattr(criterion, "_local_report", lambda delta, *args: report(delta, *args) if delta.a else ())
     res = hunt_counterexamples(2, 10)
     assert all(r["sieved_mod"] == 7 and r["search_states"] == 0 for r in res.records)
     flagged = [r for r in res.records if r["local_ok"]]
@@ -227,23 +227,29 @@ def test_only_hits_get_a_full_local_report(monkeypatch):
     # per-place report, certificates and all, for its hits alone.  A row
     # shares one verdict between a + b*sqrt(-14) and its conjugate, and a
     # hit's Decision is built on the factors that verdict holds, so box 12
-    # factors and walks the 324 deltas with b <= 0 once each
+    # factors and walks the 324 deltas with b <= 0 once each.  Each walk
+    # runs each place's failure test once: the 2-adic descent at 2 on
+    # every walk (324 + 39), and the odd-place rule at the odd primes
     reports, certificates, calls = [], [], Counter()
     report, solution = localsolve._local_report, localsolve.ModularSolution
-    factorize, failures = numth.factorize, hunt._local_failures
+    factorize, descent, odd = numth.factorize, localsolve._two_adic_descent, localsolve._odd_failure
 
-    def counted_report(delta, factors):
-        reports.append(delta)
-        return report(delta, factors)
+    def counted_report(delta, factors, certify=True):
+        if certify:
+            reports.append(delta)
+        else:
+            calls.update(["walk"])
+        return report(delta, factors, certify)
 
     QuadInt(1, 1)  # the cached check of d factors |d| once
     monkeypatch.setattr(criterion, "_local_report", counted_report)
     monkeypatch.setattr(localsolve, "_local_report", counted_report)
     monkeypatch.setattr(localsolve, "ModularSolution", lambda *args: certificates.append(args) or solution(*args))
     monkeypatch.setattr(numth, "factorize", lambda n: calls.update(["factorize"]) or factorize(n))
-    monkeypatch.setattr(hunt, "_local_failures", lambda *args: calls.update(["failures"]) or failures(*args))
+    monkeypatch.setattr(localsolve, "_two_adic_descent", lambda *args: calls.update(["descent"]) or descent(*args))
+    monkeypatch.setattr(localsolve, "_odd_failure", lambda *args: calls.update(["odd"]) or odd(*args))
     result = hunt_counterexamples(12, 100)
-    assert calls == {"factorize": 324, "failures": 324}
+    assert calls == {"factorize": 324, "walk": 324, "descent": 363, "odd": 600}
     assert len(reports) == result.summary["hits"] == 39
     assert reports == [hit.delta for hit in result.hits]
     held = [v.certificate for hit in result.hits for v in hit.local_report if v.certificate is not None]

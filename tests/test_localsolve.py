@@ -21,7 +21,6 @@ from twosquares.errors import ParameterError, ResourceLimitError
 from twosquares.localsolve import (
     ModularSolution,
     _archimedean_verdict,
-    _local_failures,
     _local_report,
     _primitive_sums_mod,
     locally_solvable,
@@ -69,16 +68,19 @@ def test_walk_adds_2_to_an_odd_norm():
 def test_failing_walk_is_the_failing_part_of_the_report():
     # the hunt's walk builds no certificate, yet returns exactly the failing
     # verdicts of the full report, in its order, in rings with both signs
-    # of d and every residue of d mod 4 and mod 8
+    # of d and every residue of d mod 4 and mod 8; the criterion's core
+    # reads the same symbol data and status off either walk
     checked = 0
     for d in (-14, -13, -6, -5, -1, 2, 3, 6, 7):
         for a in range(-25, 26):
             for b in range(-25, 26):
                 if a or b:
                     delta = QuadInt(a, b, d)
-                    factors = numth.factorize(abs(delta.norm()))
+                    factors = tuple(numth.factorize(abs(delta.norm())))
                     want = tuple(v for v in _local_report(delta, factors) if not v.solvable)
-                    assert _local_failures(delta, factors) == want, delta
+                    assert _local_report(delta, factors, False) == want, delta
+                    full, walk = criterion._conditions(delta, factors), criterion._conditions(delta, factors, False)
+                    assert full[1:] == walk[1:], delta
                     checked += 1
     assert checked == 23400
 
@@ -100,7 +102,7 @@ def test_conjugates_have_the_same_local_verdicts():
                     assert conj.norm() == delta.norm(), delta
                     factors = numth.factorize(abs(delta.norm()))
                     assert key(_local_report(conj, factors)) == key(_local_report(delta, factors)), delta
-                    assert key(_local_failures(conj, factors)) == key(_local_failures(delta, factors)), delta
+                    assert key(_local_report(conj, factors, False)) == key(_local_report(delta, factors, False)), delta
                     checked += 1
     assert checked == 40920
 
@@ -302,7 +304,7 @@ def test_square_roots_do_not_reprove_primes(monkeypatch):
     numth._sqrt_mod_prime_power.cache_clear()
     r = numth._sqrt_mod_prime_power(-1, split, 3)
     assert (r * r + 1) % split**3 == 0
-    verdict = localsolve._odd_verdict(delta, Place(inert, Splitting.INERT), 2)
+    verdict = localsolve._odd_certificate(delta, Place(inert, Splitting.INERT), 2)
     assert verdict.solvable
     _check_congruences(delta, verdict.certificate, inert)
     x, y = criterion._prime_two_squares(split)
